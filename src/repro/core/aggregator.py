@@ -21,7 +21,7 @@ Given the test parameters and the N test webpages, the aggregator:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.integrated import (
     CONTROL_CONTRAST,
@@ -46,6 +46,15 @@ from repro.storage.filestore import FileStore
 TESTS_COLLECTION = "tests"
 INTEGRATED_COLLECTION = "integrated_webpages"
 RESPONSES_COLLECTION = "responses"
+
+#: The identity of a stored response: the field groups the server's upload
+#: dedupe probes look up by exact equality — one row per participant, and
+#: one row per client idempotency token. The aggregator declares each group
+#: as a compound index; the sharded store's spill index uses the same groups.
+RESPONSE_IDENTITY: Tuple[Tuple[str, ...], ...] = (
+    ("test_id", "worker_id"),
+    ("test_id", "idempotency_key"),
+)
 
 CONTRAST_FONT_PT = 4  # the paper's broken control: 4pt vs 12pt main text
 
@@ -133,10 +142,14 @@ class Aggregator:
         self.database = database
         self.storage = storage
         self.metrics = metrics if metrics is not None else GLOBAL_METRICS
-        # Index lookups by test id are the server's hot path.
+        # Index lookups by test id are the server's hot path; the identity
+        # indexes make each upload's dedupe probes O(1) in the row count.
         self.database.collection(TESTS_COLLECTION).create_index("test_id", unique=True)
         self.database.collection(INTEGRATED_COLLECTION).create_index("test_id")
-        self.database.collection(RESPONSES_COLLECTION).create_index("test_id")
+        responses = self.database.collection(RESPONSES_COLLECTION)
+        responses.create_index("test_id")
+        for fields in RESPONSE_IDENTITY:
+            responses.create_index(fields)
 
     # -- main entry ----------------------------------------------------------
 

@@ -206,7 +206,7 @@ class CoreServer:
     # -- function 3: collect responses ---------------------------------------
 
     def _handle_post_response(self, request: Request) -> Response:
-        payload = request.json()
+        payload = request.json_object()
         try:
             result = ParticipantResult.from_dict(payload)
         except (KeyError, TypeError, ValueError) as exc:
@@ -321,7 +321,7 @@ class CoreServer:
             return Response.json_response(
                 {"error": "no shared scheduler attached"}, status=503
             )
-        payload = request.json()
+        payload = request.json_object()
         for key in ("worker_id", "answer"):
             if key not in payload:
                 return Response.bad_request(f"missing {key!r}")
@@ -392,7 +392,7 @@ class CoreServer:
             return Response.json_response(
                 {"error": "no crowdsourcing platform configured"}, status=503
             )
-        payload = request.json()
+        payload = request.json_object()
         for key in ("test_id", "participants_needed", "reward_usd"):
             if key not in payload:
                 return Response.bad_request(f"missing {key!r}")

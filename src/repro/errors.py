@@ -36,6 +36,12 @@ class ValidationError(ReproError):
         self.field = field
 
 
+class BadRequestError(ValidationError):
+    """Raised when an HTTP request body cannot be decoded (not UTF-8, not
+    JSON, or not the JSON shape a route expects); the router answers it
+    with 400 instead of 500."""
+
+
 class StorageError(ReproError):
     """Base class for document-store and file-store failures."""
 

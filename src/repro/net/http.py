@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import NetworkError
+from repro.errors import BadRequestError, NetworkError, ValidationError
 from repro.util import jsonutil
 
 STATUS_REASONS = {
@@ -82,8 +82,20 @@ class Request:
         return result
 
     def json(self):
-        """Parse the body as JSON."""
-        return jsonutil.loads(self.body.decode("utf-8"))
+        """Parse the body as JSON; a body that is not UTF-8 JSON raises
+        :class:`~repro.errors.BadRequestError`, which the router answers
+        with 400."""
+        try:
+            return jsonutil.loads(self.body.decode("utf-8"))
+        except (UnicodeDecodeError, ValidationError) as exc:
+            raise BadRequestError(f"undecodable body: {exc}") from exc
+
+    def json_object(self) -> dict:
+        """Parse the body as a JSON object (400 for any other value)."""
+        payload = self.json()
+        if not isinstance(payload, dict):
+            raise BadRequestError("body must be a JSON object")
+        return payload
 
     @property
     def size_bytes(self) -> int:
@@ -204,7 +216,8 @@ class Router:
 
     def dispatch(self, request: Request) -> Response:
         """Route a request; 404 when no pattern matches, 405 when the path
-        exists under another method, 500 when a handler raises."""
+        exists under another method, 400 when a handler cannot decode the
+        request body, 500 when a handler raises anything else."""
         path = request.path
         saw_path = False
         for method, compiled, handler in self._routes:
@@ -217,6 +230,8 @@ class Router:
             request.params = match.groupdict()
             try:
                 return handler(request)
+            except BadRequestError as exc:
+                return Response.bad_request(str(exc))
             except Exception as exc:  # server boundary: errors become 500s
                 return Response.error(f"{type(exc).__name__}: {exc}")
         if saw_path:

@@ -7,7 +7,8 @@ Implements the subset of MongoDB the Kaleidoscope core server relies on:
   ``$eq $ne $gt $gte $lt $lte $in $nin $exists $regex $and $or $not``;
 * ``update`` with ``$set $unset $inc $push $pull`` (and whole-document
   replacement);
-* unique and non-unique single-field indexes (equality lookups use them);
+* unique and non-unique indexes on one field or on a tuple of fields
+  (equality lookups use the narrowest one that applies);
 * sort / skip / limit, ``count``, ``distinct``, and ``delete``.
 
 Documents are deep-copied on the way in and out, so callers can never mutate
@@ -143,51 +144,159 @@ def match_document(document: dict, query: dict) -> bool:
     return True
 
 
-class _Index:
-    """A single-field index: value -> set of _id."""
+#: ``CompoundIndex.entries`` lookup default: no document holds the key.
+_ABSENT = object()
+#: ``CompoundIndex._key`` result for a document whose indexed values are
+#: unhashable (an array or an embedded document).
+_UNHASHABLE = object()
 
-    def __init__(self, field: str, unique: bool):
-        self.field = field
+
+def index_fields(field) -> Tuple[str, ...]:
+    """Normalise an index definition — one field name, or a sequence of
+    them for a compound index — to a tuple of field names."""
+    fields = (field,) if isinstance(field, str) else tuple(field)
+    if not fields or not all(isinstance(name, str) and name for name in fields):
+        raise QueryError(f"invalid index fields {field!r}")
+    return fields
+
+
+def index_spec(fields: Tuple[str, ...]):
+    """The JSON form of an index definition, as :meth:`DocumentStore.dump`
+    and the sharded store's WAL write it: the bare field name for a
+    single-field index, a list of names for a compound one."""
+    return fields[0] if len(fields) == 1 else list(fields)
+
+
+def scalar_condition(condition) -> bool:
+    """True when a query condition is a plain scalar equality operand — the
+    only clause an index answers. ``None`` also matches documents missing
+    the field, and operator or array conditions need the matcher."""
+    return condition is not None and not isinstance(condition, (dict, list))
+
+
+class CompoundIndex:
+    """An equality index over one or more fields: value tuple -> ``_id``.
+
+    A key holds a bare ``_id`` and becomes a set only once a second
+    document shares it, so a unique key costs a single dict slot.
+
+    The index is exact for queries whose clauses on its fields are all
+    scalar equalities (:func:`scalar_condition`): documents missing an
+    indexed field can never match such a query and are left out, and
+    documents whose indexed values are unhashable — arrays, which match
+    any element they contain, and embedded documents — go to the
+    ``residue``, a set of ids every lookup must still scan.
+    """
+
+    def __init__(self, fields: Tuple[str, ...], unique: bool = False):
+        self.fields = fields
         self.unique = unique
-        self.entries: Dict[Any, set] = {}
+        self.entries: Dict[tuple, Any] = {}
+        self.residue: set = set()
 
     def _key(self, document: dict):
-        value = get_path(document, self.field)
-        if value is _MISSING:
-            return None
+        values = []
+        for field in self.fields:
+            value = get_path(document, field)
+            if value is _MISSING:
+                return None
+            values.append(value)
+        key = tuple(values)
         try:
-            hash(value)
+            hash(key)
         except TypeError:
-            return None  # unhashable values are simply not indexed
-        return value
+            return _UNHASHABLE
+        return key
 
     def add(self, document: dict) -> None:
         key = self._key(document)
         if key is None:
             return
-        bucket = self.entries.setdefault(key, set())
-        if self.unique and bucket and document["_id"] not in bucket:
-            raise DuplicateKeyError(
-                f"duplicate value {key!r} for unique index on {self.field!r}"
-            )
-        bucket.add(document["_id"])
+        doc_id = document["_id"]
+        if key is _UNHASHABLE:
+            self.residue.add(doc_id)
+            return
+        held = self.entries.get(key, _ABSENT)
+        if held is _ABSENT:
+            self.entries[key] = doc_id
+        elif type(held) is set:
+            held.add(doc_id)
+        elif held != doc_id:
+            # Uniqueness ignores null values: any number of documents may
+            # leave a unique field null.
+            if self.unique and None not in key:
+                raise DuplicateKeyError(
+                    f"duplicate value {key!r} for unique index on "
+                    f"{index_spec(self.fields)!r}"
+                )
+            self.entries[key] = {held, doc_id}
 
     def remove(self, document: dict) -> None:
         key = self._key(document)
         if key is None:
             return
-        bucket = self.entries.get(key)
-        if bucket is not None:
-            bucket.discard(document["_id"])
-            if not bucket:
-                del self.entries[key]
+        doc_id = document["_id"]
+        if key is _UNHASHABLE:
+            self.residue.discard(doc_id)
+            return
+        held = self.entries.get(key, _ABSENT)
+        if type(held) is set:
+            held.discard(doc_id)
+            if len(held) == 1:
+                self.entries[key] = next(iter(held))
+        elif held is not _ABSENT and held == doc_id:
+            del self.entries[key]
 
-    def lookup(self, value) -> Optional[set]:
+    def query_key(self, query: dict) -> Optional[tuple]:
+        """The lookup key when every indexed field is a scalar equality
+        clause of ``query``; ``None`` when the index cannot serve it."""
+        values = []
+        for field in self.fields:
+            condition = query.get(field)
+            if not scalar_condition(condition):
+                return None
+            values.append(condition)
+        key = tuple(values)
         try:
-            hash(value)
+            hash(key)
         except TypeError:
             return None
-        return self.entries.get(value, set())
+        return key
+
+    def ids(self, key: tuple):
+        """The ids of the documents holding exactly ``key`` (the residue excluded)."""
+        held = self.entries.get(key, _ABSENT)
+        if held is _ABSENT:
+            return ()
+        return held if type(held) is set else (held,)
+
+    def candidates(self, key: tuple) -> List:
+        """Every ``_id`` that can match a lookup of ``key``, in ``_id``
+        order: the key's documents plus the residue."""
+        ids = self.ids(key)
+        return sorted(self.residue.union(ids) if self.residue else ids)
+
+    def pairs(self, field: str, query: dict) -> Optional[List[Tuple[Any, Any]]]:
+        """``(_id, value of field)`` for every indexed document whose key
+        agrees with ``query`` — a walk of the index, not the documents.
+
+        ``None`` unless ``query`` holds only scalar equality clauses on
+        indexed fields and ``field`` is indexed too; the residue is not
+        included."""
+        positions = {name: at for at, name in enumerate(self.fields)}
+        if field not in positions or not all(
+            name in positions and scalar_condition(condition)
+            for name, condition in query.items()
+        ):
+            return None
+        wanted = [(positions[name], condition) for name, condition in query.items()]
+        at = positions[field]
+        out = []
+        for key, held in self.entries.items():
+            if all(key[i] == condition for i, condition in wanted):
+                for doc_id in held if type(held) is set else (held,):
+                    out.append((doc_id, key[at]))
+        return out
 
 
 class Collection:
@@ -197,7 +306,10 @@ class Collection:
         self.name = name
         self._documents: Dict[int, dict] = {}
         self._id_counter = itertools.count(1)
-        self._indexes: Dict[str, _Index] = {}
+        self._indexes: Dict[Tuple[str, ...], CompoundIndex] = {}
+        #: Documents tested against a query so far — the work counter the
+        #: upload path's O(1) dedupe is gated on.
+        self.docs_examined = 0
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -217,12 +329,14 @@ class Collection:
 
     # -- indexes ----------------------------------------------------------
 
-    def create_index(self, field: str, unique: bool = False) -> None:
-        """Create (or replace) a single-field index."""
-        index = _Index(field, unique)
+    def create_index(self, field, unique: bool = False) -> None:
+        """Create (or replace) an index on one field, or a compound index
+        when ``field`` is a sequence of field names."""
+        fields = index_fields(field)
+        index = CompoundIndex(fields, unique)
         for document in self._documents.values():
             index.add(document)
-        self._indexes[field] = index
+        self._indexes[fields] = index
 
     # -- writes -----------------------------------------------------------
 
@@ -330,44 +444,51 @@ class Collection:
 
     # -- reads ------------------------------------------------------------
 
-    def _candidate_ids(self, query: dict) -> Optional[Iterable[int]]:
-        """Use an index for a top-level equality clause when one exists."""
-        for key, condition in query.items():
-            if key in self._indexes and not isinstance(condition, dict):
-                bucket = self._indexes[key].lookup(condition)
-                if bucket is not None:
-                    return sorted(bucket)
+    def _candidate_ids(self, query: dict) -> Optional[List]:
+        """Candidate document ids, in ``_id`` order, from the narrowest index
+        whose fields are all scalar equality clauses of ``query``; ``None``
+        when no index applies and every document must be scanned."""
+        best = None
+        best_size = 0
+        for index in self._indexes.values():
+            key = index.query_key(query)
+            if key is None:
+                continue
+            size = len(index.ids(key)) + len(index.residue)
+            if best is None or size < best_size:
+                best, best_key, best_size = index, key, size
+        return None if best is None else best.candidates(best_key)
+
+    def _exact_index(self, query: dict):
+        """``(index, key)`` for an index whose fields are exactly the
+        clauses of ``query``, all scalar equalities, or ``None``.
+
+        Every document under such a key matches the query, so ``count`` and
+        ``distinct`` skip per-document matching for all but the residue.
+        """
+        for index in self._indexes.values():
+            if len(index.fields) == len(query):
+                key = index.query_key(query)
+                if key is not None:
+                    return index, key
         return None
 
-    def _indexed_equality_bucket(self, query: dict) -> Optional[set]:
-        """The index bucket that *fully* answers ``query``, or ``None``.
-
-        Only a single-clause scalar equality match on an indexed field
-        qualifies: then the bucket's members are exactly the matching
-        documents (index buckets hold only hashable scalar values, with
-        the same array-field semantics ``_candidate_ids`` already uses),
-        so ``count``/``distinct`` can skip per-document matching entirely.
-        A ``None`` condition never qualifies — it also matches documents
-        missing the field, which the index cannot see.
-        """
-        if len(query) != 1:
-            return None
-        (key, condition), = query.items()
-        if key not in self._indexes or condition is None:
-            return None
-        if isinstance(condition, (dict, list)):
-            return None
-        return self._indexes[key].lookup(condition)
+    def _scan(self, ids: Iterable, query: dict):
+        """The documents among ``ids`` that match ``query``, in ``ids`` order."""
+        documents = self._documents
+        for doc_id in ids:
+            document = documents.get(doc_id)
+            if document is None:
+                continue
+            self.docs_examined += 1
+            if match_document(document, query):
+                yield document
 
     def _iter_matching(self, query: dict):
         candidates = self._candidate_ids(query)
         if candidates is None:
-            documents = (self._documents[i] for i in sorted(self._documents))
-        else:
-            documents = (self._documents[i] for i in candidates if i in self._documents)
-        for document in documents:
-            if match_document(document, query):
-                yield document
+            candidates = sorted(self._documents)
+        return self._scan(candidates, query)
 
     def find(
         self,
@@ -400,28 +521,31 @@ class Collection:
     def count(self, query: Optional[dict] = None) -> int:
         """Number of matching documents.
 
-        An indexed single-field scalar equality query is answered straight
-        from the index bucket's size — O(1) instead of a scan.
+        A query that is exactly an index's key is answered from the size of
+        the key's entry, plus a match over the index's residue.
         """
         query = query or {}
-        bucket = self._indexed_equality_bucket(query)
-        if bucket is not None:
-            return len(bucket)
+        exact = self._exact_index(query)
+        if exact is not None:
+            index, key = exact
+            residue = sum(1 for _ in self._scan(index.residue, query))
+            return len(index.ids(key)) + residue
         return sum(1 for _ in self._iter_matching(query))
 
     def distinct(self, field: str, query: Optional[dict] = None) -> List:
         """Distinct values of ``field`` over matches, in first-seen order.
 
-        An indexed single-field scalar equality query walks the index
-        bucket directly (in ``_id`` order, preserving first-seen order)
-        without re-matching each document.
+        A query that is exactly an index's key walks the key's documents
+        (in ``_id`` order, preserving first-seen order) without re-matching
+        each one; only the index's residue is matched.
         """
         query = query or {}
-        bucket = self._indexed_equality_bucket(query)
-        if bucket is not None:
-            documents = (
-                self._documents[i] for i in sorted(bucket) if i in self._documents
-            )
+        exact = self._exact_index(query)
+        if exact is not None:
+            index, key = exact
+            ids = set(index.ids(key))
+            ids.update(d["_id"] for d in self._scan(index.residue, query))
+            documents = (self._documents[i] for i in sorted(ids))
         else:
             documents = self._iter_matching(query)
         seen = []
@@ -468,7 +592,7 @@ class DocumentStore:
             snapshot[name] = {
                 "documents": collection.find(),
                 "indexes": [
-                    {"field": index.field, "unique": index.unique}
+                    {"field": index_spec(index.fields), "unique": index.unique}
                     for index in collection._indexes.values()
                 ],
             }

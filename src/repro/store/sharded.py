@@ -39,14 +39,18 @@ import heapq
 import itertools
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.aggregator import RESPONSES_COLLECTION
+from repro.core.aggregator import RESPONSE_IDENTITY, RESPONSES_COLLECTION
 from repro.errors import StorageError
 from repro.storage.documentstore import (
     _MISSING,
+    CompoundIndex,
     DocumentStore,
     get_path,
     highest_numeric_id,
+    index_fields,
+    index_spec,
     match_document,
+    scalar_condition,
 )
 from repro.util.jsonutil import deep_copy_json, dumps_canonical, loads
 from repro.store.wal import DiskShardBackend, MemoryShardBackend, WriteAheadLog
@@ -57,12 +61,9 @@ DEFAULT_SHARD_KEYS: Dict[str, str] = {RESPONSES_COLLECTION: "worker_id"}
 
 #: Identity-key groups per spilled collection: the exact-equality point
 #: lookups the index must answer (the server's duplicate and idempotency
-#: checks).
+#: checks) — the same groups the aggregator declares as indexes.
 DEFAULT_SPILL_IDENTITY: Dict[str, Tuple[Tuple[str, ...], ...]] = {
-    RESPONSES_COLLECTION: (
-        ("test_id", "worker_id"),
-        ("test_id", "idempotency_key"),
-    ),
+    RESPONSES_COLLECTION: RESPONSE_IDENTITY,
 }
 
 #: Fields with per-value counts on spilled collections (``count`` queries).
@@ -86,17 +87,14 @@ def shard_for(value, shard_count: int) -> int:
     return int.from_bytes(digest, "big") % shard_count
 
 
-def _scalar(condition) -> bool:
-    """True when a query condition is a plain scalar equality operand."""
-    return condition is not None and not isinstance(condition, (dict, list))
-
-
 class _SpillIndex:
     """Compact per-shard index for one spilled collection.
 
-    Holds identity-group tuples (→ ``_id``, insertion-ordered), per-value
-    counts for the count fields, and the document count — everything the
-    hot-path queries need, nothing proportional to document size.
+    Holds one :class:`~repro.storage.documentstore.CompoundIndex` per
+    identity group — the same index class the in-memory collections use —
+    per-value counts for the count fields, and the document count:
+    everything the hot-path queries need, nothing proportional to document
+    size.
     """
 
     def __init__(
@@ -108,11 +106,8 @@ class _SpillIndex:
             raise StorageError(
                 "spilled collections need at least one identity-key group"
             )
-        self.identity_keys = identity_keys
+        self.identity = [CompoundIndex(index_fields(g)) for g in identity_keys]
         self.count_fields = count_fields
-        self.groups: Dict[Tuple[str, ...], Dict[tuple, Any]] = {
-            group: {} for group in identity_keys
-        }
         self.field_counts: Dict[str, Dict[Any, int]] = {
             field: {} for field in count_fields
         }
@@ -120,59 +115,39 @@ class _SpillIndex:
 
     def add(self, doc: dict) -> None:
         self.count += 1
-        for group in self.identity_keys:
-            if all(field in doc for field in group):
-                key = tuple(doc[field] for field in group)
-                self.groups[group][key] = doc["_id"]
+        for index in self.identity:
+            index.add(doc)
         for field in self.count_fields:
             if field in doc:
                 counts = self.field_counts[field]
                 counts[doc[field]] = counts.get(doc[field], 0) + 1
 
-    def lookup(self, query: dict) -> Optional[Tuple[bool, Any]]:
-        """``(found, _id)`` for an exact identity-group query, or ``None``
-        when no group matches the query's field shape."""
-        fields = tuple(sorted(query))
-        for group in self.identity_keys:
-            if tuple(sorted(group)) == fields and all(
-                _scalar(query[field]) for field in group
-            ):
-                key = tuple(query[field] for field in group)
-                doc_id = self.groups[group].get(key)
-                return (doc_id is not None, doc_id)
+    def identity_index(self, fields: Iterable[str]) -> Optional[CompoundIndex]:
+        """The identity index over exactly ``fields``, or ``None`` when there
+        is none — or when it holds residue, whose documents live only in
+        the log, so that only a log scan answers exactly."""
+        wanted = set(fields)
+        for index in self.identity:
+            if set(index.fields) == wanted and not index.residue:
+                return index
         return None
+
+    def ids_for(self, query: dict):
+        """The ids of the documents matching an identity-group query, or
+        ``None`` when the index cannot answer the query's shape."""
+        index = self.identity_index(query)
+        key = index.query_key(query) if index is not None else None
+        return None if key is None else index.ids(key)
 
     def count_for(self, query: dict) -> Optional[int]:
         if not query:
             return self.count
         if len(query) == 1:
             (field, condition), = query.items()
-            if field in self.field_counts and _scalar(condition):
+            if field in self.field_counts and scalar_condition(condition):
                 return self.field_counts[field].get(condition, 0)
-        hit = self.lookup(query)
-        if hit is not None:
-            return 1 if hit[0] else 0
-        return None
-
-    def distinct_pairs(
-        self, field: str, query: dict
-    ) -> Optional[List[Tuple[Any, Any]]]:
-        """``(_id, value)`` pairs for a distinct over an identity group, or
-        ``None`` when the index cannot serve the query shape."""
-        wanted = tuple(sorted(set(query) | {field}))
-        for group in self.identity_keys:
-            if tuple(sorted(group)) != wanted or field not in group:
-                continue
-            if not all(_scalar(condition) for condition in query.values()):
-                return None
-            positions = {name: i for i, name in enumerate(group)}
-            field_pos = positions[field]
-            out = []
-            for key, doc_id in self.groups[group].items():
-                if all(key[positions[name]] == query[name] for name in query):
-                    out.append((doc_id, key[field_pos]))
-            return out
-        return None
+        ids = self.ids_for(query)
+        return None if ids is None else len(ids)
 
 
 class _StoreConfig:
@@ -210,7 +185,10 @@ class _Shard:
         self.records_since_snapshot = 0
         self.snapshots = 0
         self.compactions = 0
-        self.index_defs: Dict[str, Dict[str, bool]] = {}
+        #: Index definitions per collection, ``{fields: unique}`` — kept for
+        #: spilled collections too, which have no in-memory index to carry
+        #: them into ``dump()``.
+        self.index_defs: Dict[str, Dict[Tuple[str, ...], bool]] = {}
 
     def spill_index(self, name: str) -> _SpillIndex:
         if name not in self.spill:
@@ -250,9 +228,7 @@ class _Shard:
             if op == "index":
                 # No in-memory index to build; remember the definition for
                 # dump()/snapshot parity. Idempotent, no seq guard needed.
-                self.index_defs.setdefault(name, {})[record["field"]] = record[
-                    "unique"
-                ]
+                self.define_index(name, record["field"], record["unique"])
                 return
             raise StorageError(
                 f"spilled collection {name!r} is append-only; got {op!r}"
@@ -273,14 +249,17 @@ class _Shard:
             self.store.collection(name).create_index(
                 record["field"], unique=record["unique"]
             )
-            self.index_defs.setdefault(name, {})[record["field"]] = record[
-                "unique"
-            ]
+            self.define_index(name, record["field"], record["unique"])
         elif op == "drop":
             self.store.drop_collection(name)
         else:
             raise StorageError(f"unknown WAL op {op!r}")
         self.applied_seq = max(self.applied_seq, seq)
+
+    def define_index(self, name: str, field, unique: bool) -> None:
+        """Record an index definition; ``field`` is a field name or, for a
+        compound index, a sequence of them (a list once through JSON)."""
+        self.index_defs.setdefault(name, {})[index_fields(field)] = unique
 
     def scan_spilled(self, name: str) -> Iterator[dict]:
         """Replay the WAL yielding this shard's spilled documents for
@@ -297,7 +276,13 @@ class _Shard:
             "next_seq": self.next_seq,
             "next_id": next_id,
             "collections": self.store.dump(),
-            "index_defs": self.index_defs,
+            "index_defs": {
+                name: [
+                    {"field": index_spec(fields), "unique": unique}
+                    for fields, unique in defs.items()
+                ]
+                for name, defs in self.index_defs.items()
+            },
         }
         self.backend.write_snapshot(dumps_canonical(payload))
         self.snapshots += 1
@@ -328,10 +313,13 @@ class _Shard:
             self.applied_seq = int(payload.get("applied_seq", 0))
             self.next_seq = int(payload.get("next_seq", self.applied_seq + 1))
             snapshot_next_id = int(payload.get("next_id", 0))
-            self.index_defs = {
-                name: dict(defs)
-                for name, defs in payload.get("index_defs", {}).items()
-            }
+            self.index_defs = {}
+            for name, defs in payload.get("index_defs", {}).items():
+                if isinstance(defs, dict):
+                    # Snapshots written before compound indexes: {field: unique}.
+                    defs = [{"field": f, "unique": u} for f, u in defs.items()]
+                for entry in defs:
+                    self.define_index(name, entry["field"], entry["unique"])
         max_doc_id = 0
         max_seq = self.next_seq - 1
         for record in self.wal.replay():
@@ -395,7 +383,7 @@ class ShardedCollection:
         if self._shard_key is None:
             return [shards[0]]
         condition = query.get(self._shard_key)
-        if _scalar(condition):
+        if scalar_condition(condition):
             return [shards[shard_for(condition, len(shards))]]
         return list(shards)
 
@@ -461,11 +449,13 @@ class ShardedCollection:
     def delete_many(self, query: dict) -> int:
         return self._mutate("delete_many", query, None)
 
-    def create_index(self, field: str, unique: bool = False) -> None:
+    def create_index(self, field, unique: bool = False) -> None:
+        """Create an index on one field, or a compound index when ``field``
+        is a sequence of field names."""
         record = {
             "op": "index",
             "c": self.name,
-            "field": field,
+            "field": index_spec(index_fields(field)),
             "unique": unique,
         }
         if self._spilled:
@@ -550,13 +540,12 @@ class ShardedCollection:
         for shard in self._shards_for_query(query):
             if self.name not in shard.spill:
                 continue  # nothing ever landed here: authoritative miss
-            hit = shard.spill_index(self.name).lookup(query)
-            if hit is None:
-                return None  # unservable shape — same on every shard
-            found, doc_id = hit
-            if found:
+            ids = shard.spill_index(self.name).ids_for(query)
+            if ids is None:
+                return None  # unservable here: scan the log instead
+            if ids:
                 stub = dict(query)
-                stub["_id"] = doc_id
+                stub["_id"] = min(ids)
                 return stub
         return _SPILL_MISS
 
@@ -587,9 +576,10 @@ class ShardedCollection:
             if self._spilled:
                 if self.name not in shard.spill:
                     continue
-                served = shard.spill_index(self.name).distinct_pairs(
-                    field, query
+                index = shard.spill_index(self.name).identity_index(
+                    set(query) | {field}
                 )
+                served = None if index is None else index.pairs(field, query)
                 if served is None:
                     served = [
                         (doc["_id"], get_path(doc, field))
@@ -757,19 +747,19 @@ class ShardedDocumentStore:
     def dump(self) -> dict:
         snapshot: Dict[str, dict] = {}
         for name in self.collection_names():
-            index_defs: Dict[str, bool] = {}
+            index_defs: Dict[Tuple[str, ...], bool] = {}
             for shard in self._shards:
                 index_defs.update(shard.index_defs.get(name, {}))
                 if name in shard.store._collections:
-                    for field, index in shard.store.collection(
+                    for fields, index in shard.store.collection(
                         name
                     )._indexes.items():
-                        index_defs[field] = index.unique
+                        index_defs[fields] = index.unique
             snapshot[name] = {
                 "documents": list(self.stream_collection(name)),
                 "indexes": [
-                    {"field": field, "unique": unique}
-                    for field, unique in sorted(index_defs.items())
+                    {"field": index_spec(fields), "unique": unique}
+                    for fields, unique in sorted(index_defs.items())
                 ],
             }
         return deep_copy_json(snapshot)

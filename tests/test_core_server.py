@@ -5,6 +5,7 @@ import pytest
 from repro.core.aggregator import Aggregator, RESPONSES_COLLECTION
 from repro.core.extension import Answer, ParticipantResult
 from repro.core.parameters import Question, TestParameters, WebpageSpec
+from repro.core.scheduling import MergeSortScheduler
 from repro.core.server import CoreServer
 from repro.crowd.behavior import BehaviorTrace
 from repro.crowd.platform import CrowdPlatform
@@ -135,7 +136,7 @@ class TestPostResponse:
         assert results[0].answers[0].answer == "left"
         assert server.response_count("srv-test") == 1
 
-    def test_unparseable_body_500(self, stack):
+    def test_unparseable_body_400(self, stack):
         server, network, _, database = stack
         request = Request(
             "POST",
@@ -144,7 +145,7 @@ class TestPostResponse:
             body=b"{not json",
         )
         response, _ = network.exchange(request)
-        assert response.status == 500
+        assert response.status == 400
         assert database.collection(RESPONSES_COLLECTION).count({}) == 0
 
     def test_stored_results_empty_test(self, stack):
@@ -191,6 +192,85 @@ class TestIdempotency:
         self.post(server, network, "w1:1", worker_id="w1")
         self.post(server, network, "w2:1", worker_id="w2")
         assert sorted(server.uploaded_worker_ids("srv-test")) == ["w1", "w2"]
+
+
+#: Bodies no JSON route can decode: not UTF-8, not JSON, not an object.
+UNDECODABLE_BODIES = [b"\xff\xfe\x00garbage", b"{not json", b"[1, 2]", b"42"]
+
+
+class TestUndecodableBodies:
+    """An undecodable body is the client's error: 400, never 500, and
+    nothing behind the route changes."""
+
+    def post_raw(self, server, network, path, body):
+        request = Request(
+            "POST",
+            server.url(path),
+            headers={"content-type": "application/json"},
+            body=body,
+        )
+        return network.exchange(request)[0]
+
+    @pytest.mark.parametrize("body", UNDECODABLE_BODIES)
+    def test_responses_route(self, stack, body):
+        server, network, _, database = stack
+        before = database.dump()
+        response = self.post_raw(server, network, "/responses", body)
+        assert response.status == 400
+        assert database.dump() == before
+
+    @pytest.mark.parametrize("body", UNDECODABLE_BODIES)
+    def test_schedule_answers_route(self, stack, body):
+        server, network, _, database = stack
+        scheduler = MergeSortScheduler(["a", "b", "c"])
+        server.attach_scheduler(scheduler)
+        before = (database.dump(), scheduler.snapshot())
+        response = self.post_raw(server, network, "/schedule/answers", body)
+        assert response.status == 400
+        assert (database.dump(), scheduler.snapshot()) == before
+
+    @pytest.mark.parametrize("body", UNDECODABLE_BODIES)
+    def test_tasks_route(self, stack, body):
+        server, network, _, database = stack
+        before = database.dump()
+        response = self.post_raw(server, network, "/tasks", body)
+        assert response.status == 400
+        assert database.dump() == before
+        assert server.platform.jobs == {}
+
+
+class TestDedupeWork:
+    """Work-counter gate: the dedupe probes of an upload examine O(1)
+    stored documents, however many rows the test already holds."""
+
+    def examined_per_upload(self, stack, stored_rows, uploads=20):
+        server, network, _, database = stack
+        responses = database.collection(RESPONSES_COLLECTION)
+        for i in range(stored_rows):
+            row = upload_payload(worker_id=f"seed{i}")
+            row["idempotency_key"] = f"seed{i}:1"
+            responses.insert_one(row)
+        before = responses.docs_examined
+        for i in range(uploads):
+            # A fresh upload (both probes miss), then its retried replay
+            # (the idempotency probe hits one row).
+            for _ in range(2):
+                request = Request.post_json(
+                    server.url("/responses"),
+                    upload_payload(worker_id=f"new{i}"),
+                    **{IDEMPOTENCY_HEADER: f"new{i}:1"},
+                )
+                assert network.exchange(request)[0].status in (200, 201)
+        assert responses.count({"test_id": "srv-test"}) == stored_rows + uploads
+        return (responses.docs_examined - before) / (2 * uploads)
+
+    def test_examined_per_upload_is_constant_in_stored_rows(self, stack):
+        small = self.examined_per_upload(stack, 100)
+        _, _, _, database = stack
+        database.collection(RESPONSES_COLLECTION).delete_many({})
+        large = self.examined_per_upload(stack, 4000)
+        assert small == large
+        assert large <= 2
 
 
 class TestGetResults:

@@ -105,7 +105,7 @@ class TestUploadFailures:
                 body=b"{broken json",
             )
         )[0]
-        assert response.status == 500  # json parse error surfaces as server error
+        assert response.status == 400  # an undecodable body is a client error
         assert campaign.server.response_count("garbage") == 0
 
 

@@ -183,6 +183,38 @@ class TestIndexes:
         assert people.find({"name": "ada"}) == []
         assert len(people.find({"name": "ada2"})) == 1
 
+    def test_array_valued_field_still_found_through_index(self):
+        # An array matches any element it holds; the index keeps such a
+        # document in its residue instead of silently dropping it.
+        collection = Collection("c")
+        collection.insert_one({"test_id": "t", "worker_id": "w"})
+        collection.insert_one({"test_id": ["t"], "worker_id": "w"})
+        assert collection.count({"test_id": "t"}) == 2
+        collection.create_index("test_id")
+        collection.create_index(("test_id", "worker_id"))
+        assert collection.count({"test_id": "t"}) == 2
+        assert collection.count({"test_id": "t", "worker_id": "w"}) == 2
+        assert collection.find_one({"test_id": "t", "worker_id": "w"})["_id"] == 1
+
+    def test_null_condition_on_indexed_field_matches_missing(self):
+        collection = Collection("c")
+        collection.insert_many([{"k": 1}, {"k": None}, {}])
+        collection.create_index("k")
+        assert collection.count({"k": None}) == 2
+        assert len(collection.find({"k": None})) == 2
+
+    def test_narrowest_index_serves_compound_query(self):
+        collection = Collection("c")
+        collection.create_index("test_id")
+        collection.create_index(("test_id", "worker_id"))
+        collection.insert_many(
+            [{"test_id": "t", "worker_id": f"w{i}"} for i in range(50)]
+        )
+        before = collection.docs_examined
+        assert collection.find_one({"test_id": "t", "worker_id": "w7"}) is not None
+        assert collection.find_one({"test_id": "t", "worker_id": "nope"}) is None
+        assert collection.docs_examined - before == 1
+
     def test_index_after_delete(self, people):
         people.create_index("name")
         people.delete_many({"name": "ada"})

@@ -38,6 +38,27 @@ class TestDumpLoad:
         with pytest.raises(DuplicateKeyError):
             restored.collection("tests").insert_one({"test_id": "t1"})
 
+    def test_compound_index_round_trips(self):
+        store = seeded_store()
+        store.collection("responses").create_index(
+            ("test_id", "worker_id"), unique=True
+        )
+        snapshot = store.dump()
+        assert {"field": ["test_id", "worker_id"], "unique": True} in snapshot[
+            "responses"
+        ]["indexes"]
+        # Single-field definitions keep the bare-string form older
+        # snapshots hold, so those still load.
+        assert {"field": "test_id", "unique": False} in snapshot["responses"][
+            "indexes"
+        ]
+        restored = DocumentStore.load(snapshot)
+        assert restored.dump() == snapshot
+        with pytest.raises(DuplicateKeyError):
+            restored.collection("responses").insert_one(
+                {"test_id": "t1", "worker_id": "w0"}
+            )
+
     def test_id_counter_continues(self):
         restored = DocumentStore.load(seeded_store().dump())
         new_id = restored.collection("responses").insert_one({"test_id": "t2", "worker_id": "x"})

@@ -4,13 +4,14 @@ import warnings
 
 import pytest
 
-from repro.core.aggregator import RESPONSES_COLLECTION
+from repro.core.aggregator import RESPONSE_IDENTITY, RESPONSES_COLLECTION
 from repro.core.server import CoreServer, _reset_store_kwarg_warning
-from repro.errors import StorageError, ValidationError
-from repro.storage.documentstore import DocumentStore
+from repro.errors import DuplicateKeyError, StorageError, ValidationError
+from repro.storage.documentstore import CompoundIndex, DocumentStore
 from repro.storage.filestore import FileStore
 from repro.store import ShardedDocumentStore
-from repro.store.sharded import shard_for
+from repro.store.sharded import _Shard, shard_for
+from repro.util.jsonutil import dumps_canonical
 from repro.store.wal import decode_wal_line, encode_wal_record
 
 
@@ -147,6 +148,44 @@ class TestSpill:
             f"w{i}" for i in range(12)
         )
 
+    def test_identity_lookups_use_the_shared_compound_index(self, monkeypatch):
+        store = make_store(spill=(RESPONSES_COLLECTION,))
+        responses = store.collection(RESPONSES_COLLECTION)
+        for i in range(8):
+            responses.insert_one(response_row(f"w{i}", idempotency_key=f"k{i}"))
+        for shard in store._shards:
+            if RESPONSES_COLLECTION in shard.spill:
+                identity = shard.spill[RESPONSES_COLLECTION].identity
+                assert all(isinstance(i, CompoundIndex) for i in identity)
+                assert tuple(i.fields for i in identity) == RESPONSE_IDENTITY
+
+        def no_log_scan(self, name):
+            raise AssertionError("identity query fell back to a log scan")
+
+        monkeypatch.setattr(_Shard, "scan_spilled", no_log_scan)
+        assert responses.find_one({"test_id": "t1", "worker_id": "w3"}) is not None
+        assert responses.find_one({"test_id": "t1", "idempotency_key": "k9"}) is None
+        assert responses.count({"test_id": "t1", "idempotency_key": "k2"}) == 1
+        assert responses.distinct("worker_id", {"test_id": "t1"}) == [
+            f"w{i}" for i in range(8)
+        ]
+
+    def test_array_identity_values_are_found_by_log_scan(self):
+        # An array matches any element it holds, so a row whose identity
+        # field is an array lands in the index's residue, and lookups on
+        # that shard fall back to scanning the log instead of missing it.
+        store = make_store(spill=(RESPONSES_COLLECTION,))
+        responses = store.collection(RESPONSES_COLLECTION)
+        responses.insert_one(response_row("w1", idempotency_key=["k1", "k2"]))
+        responses.insert_one(response_row("w2", idempotency_key="k2"))
+        hit = responses.find_one({"test_id": "t1", "idempotency_key": "k1"})
+        assert hit is not None and hit["worker_id"] == "w1"
+        assert responses.count({"test_id": "t1", "idempotency_key": "k2"}) == 2
+        assert responses.distinct("idempotency_key", {"test_id": "t1"}) == [
+            ["k1", "k2"],
+            "k2",
+        ]
+
     def test_unservable_query_falls_back_to_log_scan(self):
         store = make_store(spill=(RESPONSES_COLLECTION,))
         responses = store.collection(RESPONSES_COLLECTION)
@@ -210,6 +249,54 @@ class TestDurability:
         store.close()
         revived = make_store(shards=1, directory=tmp_path, snapshot_every=10)
         assert revived.collection("items").count({}) == 35
+
+    def test_compound_index_survives_wal_replay_and_snapshot(self, tmp_path):
+        kwargs = dict(directory=tmp_path, spill=(RESPONSES_COLLECTION,))
+        store = make_store(**kwargs)
+        store.collection("items").create_index(("kind", "n"), unique=True)
+        store.collection(RESPONSES_COLLECTION).create_index(RESPONSE_IDENTITY[0])
+        store.collection("items").insert_one({"kind": "x", "n": 1})
+        store.collection(RESPONSES_COLLECTION).insert_one(response_row("w1"))
+        snapshot = store.dump()
+        assert snapshot["items"]["indexes"] == [
+            {"field": ["kind", "n"], "unique": True}
+        ]
+        assert snapshot[RESPONSES_COLLECTION]["indexes"] == [
+            {"field": ["test_id", "worker_id"], "unique": False}
+        ]
+        store.close()
+        replayed = make_store(**kwargs)  # from the WAL's index records
+        assert replayed.dump() == snapshot
+        replayed.snapshot_all()
+        replayed.close()
+        recovered = make_store(**kwargs)  # from the shard snapshots
+        assert recovered.dump() == snapshot
+        with pytest.raises(DuplicateKeyError):
+            recovered.collection("items").insert_one({"kind": "x", "n": 1})
+
+    def test_pre_compound_shard_snapshot_still_loads(self):
+        store = make_store(shards=1)
+        shard = store._shards[0]
+        shard.backend.write_snapshot(
+            dumps_canonical(
+                {
+                    "applied_seq": 0,
+                    "next_seq": 1,
+                    "next_id": 1,
+                    "collections": {
+                        "tests": {
+                            "documents": [{"_id": 1, "test_id": "t1"}],
+                            "indexes": [{"field": "test_id", "unique": True}],
+                        }
+                    },
+                    "index_defs": {RESPONSES_COLLECTION: {"test_id": False}},
+                }
+            )
+        )
+        store.recover()
+        assert shard.index_defs[RESPONSES_COLLECTION] == {("test_id",): False}
+        with pytest.raises(DuplicateKeyError):
+            store.collection("tests").insert_one({"test_id": "t1"})
 
     def test_spilled_inserts_do_not_trigger_compaction(self):
         store = make_store(
