@@ -221,7 +221,7 @@ def savings_gate(rows: List[dict], n: int = GATE_N) -> dict:
 # -- phase 2: identity across executors + checkpoint/resume ------------------
 
 
-def _identity_campaign(executor: str, parallelism: Optional[int]) -> Campaign:
+def _identity_campaign(executor: str, parallelism: int) -> Campaign:
     campaign = Campaign(
         config=CampaignConfig(
             seed=SEED + 1,
@@ -288,7 +288,7 @@ def run_identity_phase(resume_at: int = 60) -> dict:
     # campaign from the serialized state (which carries the scheduler
     # snapshot), and require the same digest.
     crash_at = max(2, IDENTITY_PARTICIPANTS // 2)
-    crashed = _identity_campaign("serial", None)
+    crashed = _identity_campaign("serial", 1)
     seen = [0]
 
     def hook(_campaign):
@@ -302,7 +302,7 @@ def run_identity_phase(resume_at: int = 60) -> dict:
     except _Crash:
         pass
     checkpoint = json.loads(json.dumps(crashed.resume_state()))
-    resumed = _identity_campaign("serial", None)
+    resumed = _identity_campaign("serial", 1)
     resumed_result = resumed.run_with_workers(roster, judge, resume_from=checkpoint)
     digests["adaptive/crash-resume"] = _identity_digest(resumed_result)
     verdicts.add(

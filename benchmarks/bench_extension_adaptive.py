@@ -11,10 +11,10 @@ preserved.
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.reporting import format_table
-from repro.core.scheduling import InsertionSortScheduler, MergeSortScheduler
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.html.parser import parse_html
 
@@ -28,8 +28,8 @@ UTILITIES = {"v0": 0.44, "v1": 0.22, "v2": 1.10, "v3": 0.66, "v4": 0.0,
 PARTICIPANTS = 60
 
 
-def build_campaign(seed):
-    campaign = Campaign(seed=seed)
+def build_campaign(seed, scheduler):
+    campaign = Campaign(config=CampaignConfig(seed=seed, scheduler=scheduler))
     params = TestParameters(
         test_id="adaptive-bench",
         test_description="full vs sorting-based",
@@ -46,13 +46,9 @@ def build_campaign(seed):
 
 
 def run_mode(mode, seed=2019):
-    campaign = build_campaign(seed)
+    campaign = build_campaign(seed, mode)
     judge = make_utility_judge(UTILITIES, ThurstoneChoiceModel())
-    if mode == "full":
-        result = campaign.run(judge)
-    else:
-        factory = {"insertion": InsertionSortScheduler, "merge": MergeSortScheduler}[mode]
-        result = campaign.run_adaptive(judge, factory)
+    result = campaign.run(judge)
     downloads = sum(
         1 for record in campaign.network.log if record.path.startswith("/resources/")
     )

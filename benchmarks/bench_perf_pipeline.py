@@ -5,8 +5,8 @@ participants by default) end to end in two configurations:
 
 * **baseline** — every participant re-renders every downloaded page
   (artifact cache disabled), the style cascade tests every rule against
-  every element (rule index disabled), and participants run sequentially
-  through the legacy single-stream path;
+  every element (rule index disabled), and participants run one at a
+  time (``parallelism=1``);
 * **optimized** — the shared :class:`~repro.render.artifacts.PageArtifactCache`
   renders each stored page once per campaign, the cascade goes through the
   :class:`~repro.html.cssom.RuleIndex`, and participants fan out across
@@ -58,7 +58,7 @@ from repro.experiments.fontsize import (
 from repro.net.faults import CircuitBreakerConfig, FaultPlan, RetryPolicy
 from repro.render.artifacts import PageArtifactCache
 from repro.util.executors import available_cpus, resolve_chunk_size
-from repro.util.perf import PERF
+from repro.obs.metrics import GLOBAL_METRICS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_pipeline.json"
@@ -96,15 +96,15 @@ def _fresh_campaign(
 
 
 def _run(
-    participants: int, optimized: bool, parallelism: Optional[int]
+    participants: int, optimized: bool, parallelism: int
 ) -> tuple:
     """(result, wall_seconds, perf_snapshot) for one configuration."""
     campaign, judge = _fresh_campaign(participants, optimized)
-    PERF.reset()
+    GLOBAL_METRICS.reset()
     start = time.perf_counter()
     result = campaign.run(judge, reward_usd=REWARD_USD, parallelism=parallelism)
     elapsed = time.perf_counter() - start
-    return result, elapsed, PERF.snapshot()
+    return result, elapsed, GLOBAL_METRICS.snapshot()
 
 
 def _concluded_fingerprint(result: CampaignResult) -> List[dict]:
@@ -140,7 +140,7 @@ def _run_lossy(
         main_text_selector=MAIN_TEXT_SELECTOR,
         instructions=QUESTION.text,
     )
-    PERF.reset()
+    GLOBAL_METRICS.reset()
     start = time.perf_counter()
     result = campaign.run(
         experiment.make_personal_judge(),
@@ -148,7 +148,7 @@ def _run_lossy(
         parallelism=parallelism,
     )
     elapsed = time.perf_counter() - start
-    return campaign, result, elapsed, PERF.snapshot()
+    return campaign, result, elapsed, GLOBAL_METRICS.snapshot()
 
 
 def run_lossy_benchmark(
@@ -282,7 +282,7 @@ def run_pipeline_benchmark(
 ) -> dict:
     """Run both configurations and return the report dictionary."""
     baseline_result, baseline_s, baseline_perf = _run(
-        participants, optimized=False, parallelism=None
+        participants, optimized=False, parallelism=1
     )
     optimized_result, optimized_s, optimized_perf = _run(
         participants, optimized=True, parallelism=parallelism
@@ -345,10 +345,14 @@ def write_report(report: dict, output: Path = DEFAULT_OUTPUT) -> Path:
 # -- pytest smoke check ------------------------------------------------------
 
 
-def test_pipeline_fast_path_smoke(report_writer):
-    """Small-scale run: fast path must win and stay deterministic."""
+def test_pipeline_fast_path_smoke(report_writer, tmp_path):
+    """Small-scale run: fast path must win and stay deterministic.
+
+    The smoke report goes to a temporary file; the committed
+    ``BENCH_pipeline.json`` holds the full-size run.
+    """
     report = run_pipeline_benchmark(participants=20, parallelism=4)
-    write_report(report)
+    write_report(report, tmp_path / "BENCH_pipeline.json")
     assert report["parallel_matches_sequential"]
     assert report["speedup"] is not None and report["speedup"] > 1.0
     artifacts = report["optimized"]["perf"]["counters"]

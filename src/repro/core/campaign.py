@@ -9,8 +9,10 @@ applies quality control and analysis. One call to :meth:`run` is one
 complete Kaleidoscope test — the unit the evaluation benchmarks drive.
 
 Configuration lives in one frozen :class:`~repro.core.config.CampaignConfig`
-(``Campaign(config=...)``); the historical per-kwarg constructor surface
-keeps working through a deprecation shim. With ``observe=True`` the campaign
+(``Campaign(config=...)``). Every entry point runs its participants through
+one roster fan-out (:meth:`Campaign._run_participants_deterministic`): each
+worker simulates on an independent RNG substream and uploads in roster
+order, whatever the executor. With ``observe=True`` the campaign
 records a deterministic trace — campaign → participant → page → exchange
 spans on virtual clocks, plus a metrics registry — exportable through
 :meth:`Campaign.timeline` as Chrome trace-event JSON or a text report.
@@ -18,21 +20,21 @@ spans on virtual clocks, plus a metrics registry — exportable through
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
+import itertools
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import ExitStack
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.aggregator import RESPONSES_COLLECTION, Aggregator, PreparedTest
 from repro.core.analysis import AnalysisBundle, analyze_responses
 from repro.core.conclusion import Conclusion, DegradedConclusion
-from repro.core.config import (
-    STREAMING_NETWORK_LOG_LIMIT,
-    CampaignConfig,
-    warn_legacy_kwargs,
-)
+from repro.core.config import STREAMING_NETWORK_LOG_LIMIT, CampaignConfig
 from repro.core.extension import BrowserExtension, JudgeFunction, ParticipantResult
 from repro.core.fanout import run_process_fanout
 from repro.core.integrated import IntegratedWebpage
@@ -45,7 +47,6 @@ from repro.core.scheduling import (
     all_pairs,
     make_scheduler,
     scheduler_class,
-    warn_legacy_scheduler,
 )
 from repro.core.server import CoreServer
 from repro.store import ShardedDocumentStore, StreamingCampaignState
@@ -79,7 +80,7 @@ from repro.util.executors import (
     effective_pool_size,
     validate_executor_mode,
 )
-from repro.util.rng import coerce_rng
+from repro.util.rng import coerce_rng, roster_stream
 
 # Participants arrive on whatever access network they have; the replay
 # design makes the *test* insensitive to this, but downloads still take
@@ -87,10 +88,10 @@ from repro.util.rng import coerce_rng
 _PARTICIPANT_PROFILES = ("fiber", "cable", "dsl", "4g", "3g")
 _PROFILE_WEIGHTS = (0.25, 0.30, 0.15, 0.20, 0.10)
 
-#: Sentinel distinguishing "argument not passed" from an explicit ``None``
-#: (``parallelism=None`` legitimately means sequential mode).
-_UNSET = object()
 
+def _or(value, default):
+    """``value`` unless it is ``None``: a per-call override of a config knob."""
+    return default if value is None else value
 
 
 @dataclass
@@ -114,11 +115,11 @@ class CampaignResult:
     duration_days: float
     total_cost_usd: float
     conclusion: Optional[Conclusion] = None
-    #: Checkpoint payload for driving a resume from the serialized result:
-    #: ``root_entropy``, the completed-participant ids, the stored rows, and
-    #: any recorded upload losses. ``None`` for inline (non-fan-out) runs,
-    #: which have no replayable entropy.
-    resume_state: Optional[dict] = None
+    #: Builds :attr:`resume_state` on first access (see
+    #: :meth:`Campaign.resume_state`).
+    resume_source: Optional[Callable[[], dict]] = field(
+        default=None, repr=False, compare=False
+    )
     #: Uploaded-participant count for streaming conclusions, whose
     #: ``raw_results`` stay empty by design (the rows were folded into
     #: sufficient statistics, never materialized). ``None`` = batch mode,
@@ -129,6 +130,16 @@ class CampaignResult:
     #: scheduler mode, and for adaptive campaigns concluded before the
     #: scheduler stopped.
     early_stop: Optional[EarlyStoppedConclusion] = None
+
+    @functools.cached_property
+    def resume_state(self) -> Optional[dict]:
+        """Checkpoint payload for driving a resume from the serialized
+        result, as of conclude: ``root_entropy``, the completed-participant
+        ids, the stored rows, and any recorded upload losses. ``None`` only
+        when the campaign concluded without running a roster (rows inserted
+        by hand). Built on first access, so the rows are read from the store
+        only when asked for."""
+        return None if self.resume_source is None else self.resume_source()
 
     @property
     def controlled_results(self) -> List[ParticipantResult]:
@@ -180,20 +191,12 @@ class Campaign:
         platform: Optional[CrowdPlatform] = None,
         rng: Optional[np.random.Generator] = None,
         seed: Optional[int] = None,
-        artifact_cache=_UNSET,
-        fault_plan=_UNSET,
-        retry_policy=_UNSET,
-        breaker_config=_UNSET,
-        dropout_rate=_UNSET,
         config: Optional[CampaignConfig] = None,
     ):
         """Build a campaign over (optionally shared) infrastructure.
 
         Settings belong in ``config`` (a :class:`~repro.core.config.
-        CampaignConfig`); the individual setting kwargs (``artifact_cache``,
-        ``fault_plan``, ``retry_policy``, ``breaker_config``,
-        ``dropout_rate``) are deprecated — they still work, folded into the
-        config with a once-per-process warning.
+        CampaignConfig`); ``seed`` and ``rng`` override ``config.seed``.
 
         ``config.artifact_cache`` controls participant-side page rendering:
         ``True`` (default) renders each downloaded page through a shared
@@ -208,22 +211,8 @@ class Campaign:
         ``config.observe`` records a deterministic trace + metrics for the
         run, exportable via :meth:`timeline`.
         """
-        legacy = {
-            name: value
-            for name, value in (
-                ("artifact_cache", artifact_cache),
-                ("fault_plan", fault_plan),
-                ("retry_policy", retry_policy),
-                ("breaker_config", breaker_config),
-                ("dropout_rate", dropout_rate),
-            )
-            if value is not _UNSET
-        }
         if config is None:
             config = CampaignConfig()
-        if legacy:
-            warn_legacy_kwargs(legacy)
-            config = config.replace(**legacy)
         self.config = config
         if seed is None:
             seed = config.seed
@@ -335,7 +324,6 @@ class Campaign:
         # Root span of the run in progress; participant subtrees are adopted
         # under the innermost open span from the campaign thread.
         self._root_span = None
-        self._participant_seq = 0
         # Worker count the last fan-out actually used (after capping at the
         # pending roster size). Plain attribute, not a gauge: gauges land in
         # deterministic_snapshot(), which must not vary with pool size.
@@ -443,31 +431,23 @@ class Campaign:
         quality_config: Optional[QualityConfig] = None,
         participants: Optional[int] = None,
         controls_per_participant: Optional[int] = None,
-        parallelism=_UNSET,
-        executor=_UNSET,
-        min_participants=_UNSET,
-        quorum=_UNSET,
+        parallelism: Optional[int] = None,
+        executor: Optional[str] = None,
+        min_participants: Optional[int] = None,
+        quorum: Optional[float] = None,
     ) -> CampaignResult:
         """Execute the campaign to completion and conclude the results.
 
         Every knob defaults to the campaign's :class:`~repro.core.config.
-        CampaignConfig`; passing it here overrides the config for this call.
+        CampaignConfig`; passing it here (anything but ``None``) overrides
+        the config for this call.
 
-        ``parallelism=None`` (default) runs each participant inline as they
-        are recruited, drawing from the campaign's single RNG stream — the
-        historical behaviour. Any integer ``parallelism >= 1`` switches to
-        the deterministic fan-out mode: recruitment only collects the roster,
-        then every participant is simulated on an independent RNG substream
-        (``numpy.random.SeedSequence.spawn``) and uploaded in recruitment
-        order — so the concluded result is bit-identical for every
-        parallelism level, and levels > 1 run participants concurrently.
-
-        ``executor`` picks the fan-out backend (fan-out mode only;
-        the inline ``parallelism=None`` path ignores it): ``"serial"``
-        forces the in-thread loop, ``"thread"`` (default) overlaps
-        participants on a thread pool, ``"process"`` fans chunks of
-        participants out to worker processes — the GIL-free backend. All
-        three conclude bit-identically at a fixed seed.
+        Recruitment collects the roster; then every participant is simulated
+        on an independent RNG substream (``numpy.random.SeedSequence.spawn``)
+        and uploaded in recruitment order — so the concluded result is
+        bit-identical for every ``parallelism`` level and ``executor``
+        (``"serial"`` / ``"thread"`` / ``"process"``), and levels > 1 run
+        participants concurrently.
 
         ``min_participants`` / ``quorum`` are conclusion floors: when the
         surviving complete participants fall below the absolute count or the
@@ -476,28 +456,9 @@ class Campaign:
         """
         cfg = self.config
         reward_usd = cfg.reward_usd if reward_usd is None else reward_usd
-        if controls_per_participant is None:
-            controls_per_participant = cfg.controls_per_participant
-        parallelism = cfg.parallelism if parallelism is _UNSET else parallelism
-        executor = cfg.executor if executor is _UNSET else executor
-        if parallelism is None and (
-            cfg.overload is not None or cfg.arrival is not None
-        ):
-            # Arrival schedules and the overload control plane are defined
-            # over the deterministic roster fan-out (staggered session
-            # starts, precomputed LoadSignal); route there with one worker —
-            # bit-identical to any other worker count or executor.
-            parallelism = 1
-        if min_participants is _UNSET:
-            min_participants = cfg.min_participants
-        if quorum is _UNSET:
-            quorum = cfg.quorum
         prepared = self._require_prepared()
         self._check_scheduler_applies(prepared)
         needed = participants or prepared.parameters.participant_num
-        # A shared scheduler serializes the roster (each pair choice depends
-        # on every prior answer), so recruitment only collects the roster.
-        shared = self._scheduler_is_shared()
         with self.tracer.span(
             "campaign", category="campaign", test_id=prepared.test_id,
             mode="recruited", participants=needed,
@@ -505,34 +466,17 @@ class Campaign:
             self._root_span = root
             job = self._post_task(prepared, needed, reward_usd)
             start_time = self.env.now
-
-            if parallelism is None and not shared:
-                def on_recruit(worker: WorkerProfile, arrival_time_s: float) -> None:
-                    self._run_participant(worker, judge, controls_per_participant)
-
-                with self.tracer.span("recruitment", category="campaign"):
-                    self.platform.run_recruitment(job, on_recruit=on_recruit)
-            else:
-                roster: List[WorkerProfile] = []
-
-                def on_recruit(worker: WorkerProfile, arrival_time_s: float) -> None:
-                    roster.append(worker)
-
-                with self.tracer.span("recruitment", category="campaign"):
-                    self.platform.run_recruitment(job, on_recruit=on_recruit)
-                if shared:
-                    self._run_participants_shared_scheduler(
-                        roster, judge, controls_per_participant,
-                    )
-                else:
-                    self._run_participants_deterministic(
-                        roster, judge, controls_per_participant,
-                        parallelism=parallelism, executor=executor,
-                    )
+            self._run_participants_deterministic(
+                self._recruit(job), judge,
+                _or(controls_per_participant, cfg.controls_per_participant),
+                parallelism=_or(parallelism, cfg.parallelism),
+                executor=_or(executor, cfg.executor),
+            )
             duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
             return self.conclude(
                 job=job, duration_days=duration_days, quality_config=quality_config,
-                min_participants=min_participants, quorum=quorum,
+                min_participants=_or(min_participants, cfg.min_participants),
+                quorum=_or(quorum, cfg.quorum),
             )
 
     def run_until_significant(
@@ -552,7 +496,8 @@ class Campaign:
         "more visits (and time)". This sequential mode recruits
         ``batch_size`` participants at a time and stops as soon as the
         quality-controlled tally for ``(question_id, *pair)`` has
-        p < ``alpha`` — or at ``max_participants``.
+        p < ``alpha`` — or at ``max_participants``. Each batch is its own
+        roster fan-out (fresh root entropy drawn from the campaign RNG).
 
         Note the statistical caveat baked into the default: repeatedly
         peeking inflates the false-positive rate, so ``alpha`` defaults to
@@ -561,7 +506,15 @@ class Campaign:
         prepared = self._require_prepared()
         if batch_size <= 0 or max_participants <= 0:
             raise CampaignError("batch_size and max_participants must be positive")
-        reward_usd = self.config.reward_usd if reward_usd is None else reward_usd
+        if self._scheduler_is_shared():
+            raise CampaignError(
+                "run_until_significant peeks one pair's tally between batches; "
+                f"the shared {self.config.scheduler!r} scheduler picks its own "
+                "pairs and stops on its own certificate — use run() instead"
+            )
+        self._check_scheduler_applies(prepared)
+        cfg = self.config
+        reward_usd = cfg.reward_usd if reward_usd is None else reward_usd
         with self.tracer.span(
             "campaign", category="campaign", test_id=prepared.test_id,
             mode="sequential",
@@ -570,19 +523,18 @@ class Campaign:
             job = self._post_task(prepared, max_participants, reward_usd)
             start_time = self.env.now
             result: Optional[CampaignResult] = None
-
-            def on_recruit(worker: WorkerProfile, arrival_time_s: float) -> None:
-                self._run_participant(worker, judge, controls_per_participant=1)
-
             while job.participants_recruited < max_participants:
                 target = min(
                     job.participants_recruited + batch_size, max_participants
                 )
                 saved_quota = job.participants_needed
                 job.participants_needed = target
-                with self.tracer.span("recruitment", category="campaign"):
-                    self.platform.run_recruitment(job, on_recruit=on_recruit)
+                batch = self._recruit(job)
                 job.participants_needed = saved_quota
+                self._run_participants_deterministic(
+                    batch, judge, 1,
+                    parallelism=cfg.parallelism, executor=cfg.executor,
+                )
                 duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
                 result = self.conclude(
                     job=job, duration_days=duration_days, quality_config=quality_config
@@ -603,29 +555,26 @@ class Campaign:
         quality_config: Optional[QualityConfig] = None,
         controls_per_participant: Optional[int] = None,
         in_lab: bool = False,
-        parallelism=_UNSET,
-        executor=_UNSET,
-        min_participants=_UNSET,
-        quorum=_UNSET,
-        root_entropy=_UNSET,
+        parallelism: Optional[int] = None,
+        executor: Optional[str] = None,
+        min_participants: Optional[int] = None,
+        quorum: Optional[float] = None,
+        root_entropy: Optional[int] = None,
         resume_from: Optional[dict] = None,
     ) -> CampaignResult:
         """Run a fixed roster (the in-lab path, or unit-style driving).
 
         Skips platform recruitment; every worker performs the test back to
         back on the virtual clock. Knobs default to the campaign's
-        :class:`~repro.core.config.CampaignConfig`. ``parallelism=None``
-        keeps the historical single-stream sequential behaviour; any integer
-        ``parallelism >= 1`` gives each worker an independent RNG substream
-        and (for levels > 1) simulates them concurrently — the concluded
-        result is identical for every parallelism level at a fixed seed.
-        ``executor`` picks the fan-out backend (``"serial"`` / ``"thread"``
-        / ``"process"``); see :meth:`run`.
+        :class:`~repro.core.config.CampaignConfig` (``None`` = use the
+        config). Each worker gets an independent RNG substream, so the
+        concluded result is identical for every ``parallelism`` level and
+        ``executor`` at a fixed seed; see :meth:`run`.
 
-        ``root_entropy`` (fan-out mode only) replays a previous fan-out's
-        RNG substreams — pass a crashed campaign's ``last_root_entropy`` to
-        resume it: workers whose uploads are already stored are skipped, the
-        rest re-simulate on exactly the streams they would have had.
+        ``root_entropy`` replays a previous fan-out's RNG substreams — pass
+        a crashed campaign's ``last_root_entropy`` to resume it: workers
+        whose uploads are already stored are skipped, the rest re-simulate
+        on exactly the streams they would have had.
 
         ``resume_from`` is the serialized-checkpoint convenience: pass a
         previous :meth:`CampaignResult.to_dict` payload (or its ``"resume"``
@@ -633,118 +582,30 @@ class Campaign:
         seeds its database with the stored rows, carries over recorded upload
         losses, and replays the payload's ``root_entropy`` — so a resume can
         be driven across process boundaries from nothing but the serialized
-        result. Fan-out mode only.
+        result.
         """
         cfg = self.config
-        if controls_per_participant is None:
-            controls_per_participant = cfg.controls_per_participant
-        parallelism = cfg.parallelism if parallelism is _UNSET else parallelism
-        executor = cfg.executor if executor is _UNSET else executor
-        if parallelism is None and (
-            cfg.overload is not None or cfg.arrival is not None
-        ):
-            # Same routing as run(): overload/arrival live on the fan-out.
-            parallelism = 1
-        if min_participants is _UNSET:
-            min_participants = cfg.min_participants
-        if quorum is _UNSET:
-            quorum = cfg.quorum
-        root_entropy = cfg.root_entropy if root_entropy is _UNSET else root_entropy
+        root_entropy = _or(root_entropy, cfg.root_entropy)
         if resume_from is not None:
-            if parallelism is None and not self._scheduler_is_shared():
-                raise CampaignError(
-                    "resume_from requires the deterministic fan-out mode; "
-                    "pass parallelism >= 1"
-                )
             root_entropy = self._apply_resume_state(resume_from, root_entropy)
         prepared = self._require_prepared()
         self._check_scheduler_applies(prepared)
-        shared = self._scheduler_is_shared()
         with self.tracer.span(
             "campaign", category="campaign", test_id=prepared.test_id,
             mode="roster", participants=len(workers),
         ) as root:
             self._root_span = root
-            if shared:
-                self._run_participants_shared_scheduler(
-                    list(workers), judge, controls_per_participant,
-                    in_lab=in_lab, root_entropy=root_entropy,
-                )
-            elif parallelism is None:
-                for worker in workers:
-                    self._run_participant(
-                        worker, judge, controls_per_participant, in_lab=in_lab
-                    )
-            else:
-                self._run_participants_deterministic(
-                    list(workers), judge, controls_per_participant,
-                    parallelism=parallelism, executor=executor, in_lab=in_lab,
-                    root_entropy=root_entropy,
-                )
+            self._run_participants_deterministic(
+                workers, judge,
+                _or(controls_per_participant, cfg.controls_per_participant),
+                parallelism=_or(parallelism, cfg.parallelism),
+                executor=_or(executor, cfg.executor),
+                in_lab=in_lab, root_entropy=root_entropy,
+            )
             return self.conclude(
                 job=None, duration_days=0.0, quality_config=quality_config,
-                min_participants=min_participants, quorum=quorum,
-            )
-
-    def run_adaptive(
-        self,
-        judge: JudgeFunction,
-        scheduler_factory,
-        reward_usd: Optional[float] = None,
-        quality_config: Optional[QualityConfig] = None,
-        participants: Optional[int] = None,
-    ) -> CampaignResult:
-        """Run with sorting-based comparison reduction (§III-D).
-
-        ``scheduler_factory(version_ids)`` builds a fresh comparison
-        scheduler per participant (e.g. ``InsertionSortScheduler``); each
-        participant sees only the pairs their own sort requires, plus one
-        control pair. Single-question tests only.
-
-        .. deprecated:: select a scheduler with
-           ``CampaignConfig(scheduler="insertion")`` (or ``"bubble"`` /
-           ``"merge"`` / ``"adaptive"``) and call :meth:`run` instead; this
-           entry point keeps the historical behaviour with a
-           once-per-process warning.
-        """
-        warn_legacy_scheduler("Campaign.run_adaptive")
-        prepared = self._require_prepared()
-        if self.config.streaming:
-            raise CampaignError(
-                "adaptive (sorting-based) campaigns are incompatible with "
-                "store='sharded-streaming': each participant answers a "
-                "different pair schedule, so completeness is not a fixed "
-                "expected-answer count the online screen can apply"
-            )
-        if len(prepared.parameters.question) != 1:
-            raise CampaignError(
-                "sorting-based reduction applies only when one comparison "
-                "question is asked (§III-D)"
-            )
-        reward_usd = self.config.reward_usd if reward_usd is None else reward_usd
-        needed = participants or prepared.parameters.participant_num
-        with self.tracer.span(
-            "campaign", category="campaign", test_id=prepared.test_id,
-            mode="adaptive", participants=needed,
-        ) as root:
-            self._root_span = root
-            job = self._post_task(prepared, needed, reward_usd)
-            start_time = self.env.now
-
-            def on_recruit(worker: WorkerProfile, arrival_time_s: float) -> None:
-                self._run_participant(
-                    worker, judge, controls_per_participant=1,
-                    scheduler_factory=scheduler_factory,
-                )
-
-            self._adaptive_mode = True
-            try:
-                with self.tracer.span("recruitment", category="campaign"):
-                    self.platform.run_recruitment(job, on_recruit=on_recruit)
-            finally:
-                duration_days = (self.env.now - start_time) / SECONDS_PER_DAY
-            return self.conclude(
-                job=job, duration_days=duration_days, quality_config=quality_config
+                min_participants=_or(min_participants, cfg.min_participants),
+                quorum=_or(quorum, cfg.quorum),
             )
 
     # -- config-driven comparison scheduling ---------------------------------
@@ -768,24 +629,6 @@ class Campaign:
             return False
         return bool(scheduler_class(self.config.scheduler).shared)
 
-    def _config_scheduler_factory(self):
-        """Per-participant scheduler factory for the configured mode, or
-        ``None`` for ``"full"`` (historical all-pairs page plan) and for
-        shared modes (which build one campaign-level instance instead).
-
-        Closes over plain picklable values only, so the factory rebuilds
-        identically inside process-pool workers.
-        """
-        cfg = self.config
-        if cfg.scheduler == SCHEDULER_FULL or self._scheduler_is_shared():
-            return None
-        name, sub = cfg.scheduler, cfg.scheduler_config
-
-        def factory(version_ids):
-            return make_scheduler(name, version_ids, sub)
-
-        return factory
-
     def _post_task(
         self, prepared: PreparedTest, needed: int, reward_usd: float
     ) -> CrowdJob:
@@ -805,23 +648,14 @@ class Campaign:
             raise CampaignError(f"task post failed: {post.text}")
         return self.platform.get_job(post.json()["job_id"])
 
-    def _run_participant(
-        self,
-        worker: WorkerProfile,
-        judge: JudgeFunction,
-        controls_per_participant: int,
-        in_lab: bool = False,
-        scheduler_factory=None,
-    ) -> None:
-        index = self._participant_seq
-        self._participant_seq += 1
-        result, client, pspan = self._simulate_participant(
-            worker, judge, controls_per_participant, self.rng,
-            in_lab=in_lab, scheduler_factory=scheduler_factory,
-            trace_index=index,
-        )
-        self._adopt(pspan)
-        self._upload_result(client, worker, result)
+    def _recruit(self, job: CrowdJob) -> List[WorkerProfile]:
+        """Run platform recruitment for ``job``; the roster in arrival order."""
+        roster: List[WorkerProfile] = []
+        with self.tracer.span("recruitment", category="campaign"):
+            self.platform.run_recruitment(
+                job, on_recruit=lambda worker, arrival_time_s: roster.append(worker)
+            )
+        return roster
 
     def _adopt(self, span) -> None:
         """Attach a finished participant subtree under the open span.
@@ -843,19 +677,21 @@ class Campaign:
         controls_per_participant: int,
         rng: np.random.Generator,
         in_lab: bool = False,
-        scheduler_factory=None,
         session_start: Optional[float] = None,
         trace_index: int = 0,
         shared_scheduler: Optional[Scheduler] = None,
     ):
         """One participant's full extension flow, minus the upload.
 
-        All randomness comes from ``rng``: with the campaign's shared stream
-        this reproduces the historical sequential behaviour; with an
-        independent substream the simulation is order-independent, which is
-        what makes the parallel mode deterministic. ``session_start`` anchors
-        the client's session clock (breaker cooldowns, outage windows); the
+        All randomness comes from ``rng``, the participant's own substream,
+        so the simulation is order-independent — which is what makes every
+        executor conclude identically. ``session_start`` anchors the
+        client's session clock (breaker cooldowns, outage windows); the
         fan-out passes the pre-fan-out time so it is thread-order free.
+
+        ``shared_scheduler`` is the campaign-level scheduler of a shared
+        mode (``"adaptive"``); otherwise a non-``"full"`` config builds a
+        fresh sort scheduler for this participant, on every executor.
 
         Returns ``(result, client, participant_span)``; the span is a
         *detached* trace subtree (or the shared null span) that the caller
@@ -902,13 +738,11 @@ class Campaign:
                     trace_clock=trace_clock,
                     metrics=self.metrics,
                 )
-                if scheduler_factory is None and shared_scheduler is None:
-                    # Config-driven per-participant scheduling (the redesigned
-                    # axis): sort modes build a fresh scheduler per worker on
-                    # every executor path, including process-pool workers.
-                    scheduler_factory = self._config_scheduler_factory()
                 try:
-                    if scheduler_factory is None and shared_scheduler is None:
+                    if (
+                        shared_scheduler is None
+                        and self.config.scheduler == SCHEDULER_FULL
+                    ):
                         pages = self._pages_for_participant(
                             prepared, controls_per_participant, rng
                         )
@@ -929,7 +763,10 @@ class Campaign:
                         scheduler = (
                             shared_scheduler
                             if shared_scheduler is not None
-                            else scheduler_factory(version_ids)
+                            else make_scheduler(
+                                self.config.scheduler, version_ids,
+                                self.config.scheduler_config,
+                            )
                         )
                         result = extension.run_adaptive_test(
                             prepared.test_id,
@@ -1059,8 +896,7 @@ class Campaign:
         if not isinstance(payload, dict) or payload.get("root_entropy") is None:
             raise CampaignError(
                 "resume_from must be a CampaignResult.to_dict() payload (or "
-                "its 'resume' entry) carrying a root_entropy; inline runs "
-                "record none and cannot be resumed this way"
+                "its 'resume' entry) carrying a root_entropy"
             )
         entropy = int(payload["root_entropy"])
         if root_entropy is not None and int(root_entropy) != entropy:
@@ -1139,92 +975,6 @@ class Campaign:
         admission.attach_signal(signal)
         self._overload_signal = signal
 
-    def _run_participants_shared_scheduler(
-        self,
-        workers: Sequence[WorkerProfile],
-        judge: JudgeFunction,
-        controls_per_participant: int,
-        in_lab: bool = False,
-        root_entropy: Optional[int] = None,
-    ) -> None:
-        """Run a roster against one campaign-level shared scheduler.
-
-        Every pair the scheduler serves depends on all previously absorbed
-        answers, so the roster is a sequential dependency chain: participants
-        run one at a time in roster order on independent RNG substreams,
-        with uploads and checkpoints after each. The configured ``executor``
-        is deliberately ignored — there is no independent work to overlap,
-        and the sequential chain makes the conclusion trivially identical
-        across executor settings.
-
-        Degradation is an exact inverse on the evidence: a participant who
-        abandons has their unanswered serve released (the comparison is
-        re-offered to the next participant); a participant whose upload is
-        lost, or whom the per-upload quality screen drops, has every
-        absorbed answer retracted from the shared tally.
-
-        The scheduler state rides the campaign checkpoint: ``resume_state``
-        snapshots it after every upload, and a resumed campaign restores the
-        snapshot before continuing — bit-identical to never having stopped.
-        """
-        with self.tracer.span("prewarm", category="campaign"):
-            self._prewarm_artifacts()
-        if root_entropy is None:
-            root_entropy = int(self.rng.integers(0, 2**63))
-        self.last_root_entropy = root_entropy
-        root = np.random.SeedSequence(root_entropy)
-        streams = [np.random.default_rng(s) for s in root.spawn(len(workers))]
-        prepared = self._require_prepared()
-        completed = set(self.server.uploaded_worker_ids(prepared.test_id))
-        pending = [
-            i for i in range(len(workers))
-            if workers[i].worker_id not in completed
-        ]
-        session_start = self.env.now
-        offsets = arrival_offsets(
-            self.config.arrival, len(workers), self.config.seed,
-            reward_usd=self.config.reward_usd,
-        )
-        self._install_overload(offsets, session_start)
-        version_ids = [v for v in prepared.version_ids if v != "__contrast__"]
-        scheduler = make_scheduler(
-            self.config.scheduler, version_ids, self.config.scheduler_config,
-            metrics=self.metrics,
-        )
-        if self._scheduler_snapshot is not None:
-            scheduler.restore(self._scheduler_snapshot)
-            self._scheduler_snapshot = None
-        self._shared_scheduler = scheduler
-        # Expose the scheduler over the server's /schedule routes so a real
-        # extension could drive the same campaign the simulation does.
-        self.server.attach_scheduler(scheduler)
-        with self.tracer.span("fanout", category="campaign",
-                              participants=len(pending)):
-            for i in pending:
-                worker = workers[i]
-                result, client, pspan = self._simulate_participant(
-                    worker, judge, controls_per_participant, streams[i],
-                    in_lab=in_lab,
-                    session_start=session_start + (
-                        offsets[i] if i < len(offsets) else 0.0
-                    ),
-                    trace_index=i,
-                    shared_scheduler=scheduler,
-                )
-                self._adopt(pspan)
-                if getattr(result, "abandoned", False):
-                    # The served-but-unanswered pair goes back to the pool.
-                    scheduler.release(worker.worker_id)
-                _, lost_reason = self._upload_result(client, worker, result)
-                if lost_reason is not None:
-                    # Absorbed answers that were never stored are not
-                    # evidence: remove them so scheduling and conclude see
-                    # the same data.
-                    self._retract_from_scheduler(scheduler, result)
-                elif self._screen_scheduled_upload(result):
-                    self._retract_from_scheduler(scheduler, result)
-                self._checkpoint()
-
     def _retract_from_scheduler(
         self, scheduler: Scheduler, result: ParticipantResult
     ) -> None:
@@ -1279,29 +1029,39 @@ class Campaign:
         root_entropy: Optional[int] = None,
     ) -> None:
         """Simulate a roster on independent RNG substreams, optionally in
-        parallel, and upload in roster order.
+        parallel, and upload in roster order — the one participant-execution
+        path behind every entry point.
 
         Each worker's stream comes from ``SeedSequence.spawn``, so no draw by
         one participant can perturb another — results are identical whether
-        the roster runs serially or across ``parallelism`` threads. Uploads
+        the roster runs serially or across ``parallelism`` workers. Uploads
         happen from the calling thread in roster order, progressively as each
         participant's simulation completes — so a crash mid-fan-out leaves a
         checkpoint of finished uploads on the server. Participant trace
         subtrees are adopted in the same roster order, which is what makes
         the exported timeline bit-identical at every parallelism level.
 
-        ``executor`` selects the backend: ``"serial"`` always runs the
-        inline loop; ``"thread"`` overlaps participants on a thread pool;
-        ``"process"`` chunks them across worker processes (see
+        ``executor`` selects the backend: ``"serial"`` simulates lazily in
+        the calling thread; ``"thread"`` overlaps participants on a thread
+        pool; ``"process"`` chunks them across worker processes (see
         :mod:`repro.core.fanout`). The pool is capped at the pending roster
         size — idle workers are never spawned — and the capped size is
         recorded in :attr:`_last_fanout_pool`. In process mode the crash
         checkpoint is chunk-granular rather than participant-granular.
 
-        ``root_entropy`` replays a previous fan-out: substreams are spawned
-        from it (for *every* roster slot, keeping stream alignment), and
-        workers whose uploads the server already stores are skipped — the
-        resume path after a crash. The entropy actually used is recorded in
+        A shared scheduler (``scheduler="adaptive"``) makes the roster a
+        sequential dependency chain — every pair it serves depends on all
+        previously absorbed answers — so it always runs serially, whatever
+        the executor. Degradation is an exact inverse on its evidence: an
+        abandoning participant's unanswered serve is released; a participant
+        whose upload is lost, or whom the per-upload quality screen drops,
+        has every absorbed answer retracted. Its state rides the checkpoint
+        (see :meth:`resume_state`).
+
+        ``root_entropy`` replays a previous fan-out: roster slot i always
+        draws from substream i of it (stream alignment), and workers whose
+        uploads the server already stores are skipped — the resume path
+        after a crash. The entropy actually used is recorded in
         :attr:`last_root_entropy`.
         """
         if parallelism < 1:
@@ -1312,15 +1072,10 @@ class Campaign:
         if root_entropy is None:
             root_entropy = int(self.rng.integers(0, 2**63))
         self.last_root_entropy = root_entropy
-        root = np.random.SeedSequence(root_entropy)
-        # Spawn a stream per roster slot even when resuming (alignment):
-        # worker i always gets substream i regardless of who already finished.
-        streams = [np.random.default_rng(s) for s in root.spawn(len(workers))]
         completed = set(self.server.uploaded_worker_ids(self._require_prepared().test_id))
-        pending = [
-            i for i in range(len(workers))
-            if workers[i].worker_id not in completed
-        ]
+        pending = list(range(len(workers)))
+        if completed:
+            pending = [i for i in pending if workers[i].worker_id not in completed]
         # Captured once before the fan-out so every client's session clock has
         # the same thread-order-free anchor.
         session_start = self.env.now
@@ -1332,32 +1087,30 @@ class Campaign:
             reward_usd=self.config.reward_usd,
         )
         self._install_overload(offsets, session_start)
+        scheduler = self._attach_shared_scheduler()
 
         def simulate(index: int):
             return self._simulate_participant(
                 workers[index], judge, controls_per_participant,
-                streams[index], in_lab=in_lab,
+                roster_stream(root_entropy, index), in_lab=in_lab,
                 session_start=session_start + (
                     offsets[index] if index < len(offsets) else 0.0
                 ),
                 trace_index=index,
+                shared_scheduler=scheduler,
             )
 
         # Never spawn more workers than there are pending participants.
         pool_size = effective_pool_size(parallelism, len(pending))
+        if scheduler is not None or executor == EXECUTOR_SERIAL:
+            pool_size = 1
         self._last_fanout_pool = pool_size
         with self.tracer.span("fanout", category="campaign",
-                              participants=len(pending)):
-            if (
-                executor == EXECUTOR_SERIAL
-                or pool_size == 1
-                or len(pending) <= 1
-            ):
-                for i in pending:
-                    result, client, pspan = simulate(i)
-                    self._adopt(pspan)
-                    self._upload_result(client, workers[i], result)
-                    self._checkpoint()
+                              participants=len(pending)), ExitStack() as stack:
+            if pool_size == 1:
+                # Lazy: participant i+1 simulates only after i uploaded, so a
+                # shared scheduler has absorbed (or retracted) i's answers.
+                simulated = map(simulate, pending)
             elif executor == EXECUTOR_PROCESS:
                 with self.metrics.timed("campaign.parallel_fanout"):
                     run_process_fanout(
@@ -1368,17 +1121,49 @@ class Campaign:
                         in_lab=in_lab,
                         arrival_offsets=offsets,
                     )
+                return
             else:
-                with self.metrics.timed("campaign.parallel_fanout"):
-                    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-                        # pool.map yields in submission order, so uploads land
-                        # in roster order while later simulations overlap.
-                        for i, (result, client, pspan) in zip(
-                            pending, pool.map(simulate, pending)
-                        ):
-                            self._adopt(pspan)
-                            self._upload_result(client, workers[i], result)
-                            self._checkpoint()
+                stack.enter_context(self.metrics.timed("campaign.parallel_fanout"))
+                pool = stack.enter_context(ThreadPoolExecutor(max_workers=pool_size))
+                # pool.map yields in submission order, so uploads land in
+                # roster order while later simulations overlap.
+                simulated = pool.map(simulate, pending)
+            for i, (result, client, pspan) in zip(pending, simulated):
+                self._adopt(pspan)
+                if scheduler is not None and result.abandoned:
+                    # The served-but-unanswered pair goes back to the pool.
+                    scheduler.release(workers[i].worker_id)
+                _, lost_reason = self._upload_result(client, workers[i], result)
+                if scheduler is not None and (
+                    lost_reason is not None
+                    or self._screen_scheduled_upload(result)
+                ):
+                    # Answers never stored (or screened out) are not evidence:
+                    # retract them so scheduling and conclude see the same data.
+                    self._retract_from_scheduler(scheduler, result)
+                self._checkpoint()
+
+    def _attach_shared_scheduler(self) -> Optional[Scheduler]:
+        """Build the campaign-level scheduler of a shared mode, or ``None``.
+
+        A resume checkpoint's scheduler snapshot is restored first; the
+        scheduler is also exposed over the server's ``/schedule`` routes so
+        a real extension could drive the same campaign the simulation does.
+        """
+        if not self._scheduler_is_shared():
+            return None
+        prepared = self._require_prepared()
+        version_ids = [v for v in prepared.version_ids if v != "__contrast__"]
+        scheduler = make_scheduler(
+            self.config.scheduler, version_ids, self.config.scheduler_config,
+            metrics=self.metrics,
+        )
+        if self._scheduler_snapshot is not None:
+            scheduler.restore(self._scheduler_snapshot)
+            self._scheduler_snapshot = None
+        self._shared_scheduler = scheduler
+        self.server.attach_scheduler(scheduler)
+        return scheduler
 
     def _make_downloader(self, client: Client):
         def download(storage_path: str) -> str:
@@ -1529,7 +1314,7 @@ class Campaign:
             sort_scheduled = self.config.scheduler not in (
                 SCHEDULER_FULL, "adaptive"
             )
-            if getattr(self, "_adaptive_mode", False) or sort_scheduled:
+            if sort_scheduled:
                 # Sorting-based reduction: any correct sort of N versions asks
                 # at least N-1 questions; completeness is that floor + control.
                 version_count = len(
@@ -1625,7 +1410,7 @@ class Campaign:
                 duration_days=duration_days,
                 total_cost_usd=job.total_cost_usd if job is not None else 0.0,
                 conclusion=conclusion,
-                resume_state=self.resume_state(),
+                resume_source=self._resume_checkpoint(),
                 early_stop=early_stop,
             )
 
@@ -1740,7 +1525,7 @@ class Campaign:
                 duration_days=duration_days,
                 total_cost_usd=job.total_cost_usd if job is not None else 0.0,
                 conclusion=conclusion,
-                resume_state=self.resume_state(),
+                resume_source=self._resume_checkpoint(),
                 participant_count=data.uploaded,
             )
 
@@ -1833,35 +1618,54 @@ class Campaign:
     def resume_state(self) -> Optional[dict]:
         """The serializable checkpoint of everything durable so far.
 
-        ``None`` before any deterministic fan-out ran (inline runs record no
-        replayable entropy). Otherwise: the fan-out's ``root_entropy``, the
-        ids and stored rows of completed participants, and the recorded
-        upload losses — exactly what :meth:`run_with_workers`'s
-        ``resume_from`` consumes to continue the campaign elsewhere.
+        Every run records one (``None`` only before the first roster ran):
+        the fan-out's ``root_entropy``, the ids and stored rows of completed
+        participants, and the recorded upload losses — exactly what
+        :meth:`run_with_workers`'s ``resume_from`` consumes to continue the
+        campaign elsewhere.
+        """
+        build = self._resume_checkpoint()
+        return None if build is None else build()
+
+    def _resume_checkpoint(self) -> Optional[Callable[[], dict]]:
+        """Capture the checkpoint as of now; returns its payload builder.
+
+        Everything small is copied at once. The stored rows are read only
+        when the builder runs: the first ``count`` rows in upload (``_id``)
+        order, which are exactly the rows stored now because responses are
+        append-only. A concluded :class:`CampaignResult` holds the builder,
+        so a streaming conclude stays O(pairs) in memory unless a caller
+        asks for the rows.
         """
         if self.last_root_entropy is None:
             return None
-        prepared = self._require_prepared()
-        rows = []
-        for row in self._stream_rows(prepared.test_id):
-            row.pop("_id", None)
-            rows.append(row)
-        state = {
-            "root_entropy": self.last_root_entropy,
-            "completed_worker_ids": [row["worker_id"] for row in rows],
-            "rows": rows,
-            "lost_uploads": [list(pair) for pair in self.lost_uploads],
-        }
+        test_id = self._require_prepared().test_id
+        count = self.server.response_count(test_id)
+        head = {"root_entropy": self.last_root_entropy}
+        tail = {"lost_uploads": [list(pair) for pair in self.lost_uploads]}
         if self._shared_scheduler is not None:
             # The shared scheduler's full decision state rides every
             # checkpoint; restoring it resumes scheduling bit-identically.
-            state["scheduler"] = self._shared_scheduler.snapshot()
+            tail["scheduler"] = self._shared_scheduler.snapshot()
         digest = getattr(self.database, "digest", None)
         if digest is not None:
             # Shard-routing fingerprint: a resume over a differently-sharded
             # store is rejected up front (see _apply_resume_state).
-            state["store"] = digest()
-        return state
+            tail["store"] = digest()
+
+        def build() -> dict:
+            rows = []
+            for row in itertools.islice(self._stream_rows(test_id), count):
+                row.pop("_id", None)
+                rows.append(row)
+            return {
+                **head,
+                "completed_worker_ids": [row["worker_id"] for row in rows],
+                "rows": rows,
+                **copy.deepcopy(tail),
+            }
+
+        return build
 
     # -- observability -----------------------------------------------------------
 

@@ -20,6 +20,7 @@ attentiveness, not on the stimulus dimension under test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -32,7 +33,7 @@ from repro.core.integrated import (
 )
 from repro.core.parameters import Question
 from repro.crowd.behavior import BehaviorTrace, dropout_probability, sample_behavior
-from repro.crowd.judgment import judge_contrast_pair, judge_identical_pair
+from repro.crowd.judgment import ANSWERS, judge_contrast_pair, judge_identical_pair
 from repro.crowd.workers import WorkerProfile
 from repro.errors import ExtensionError, NetworkError, ParticipantAbandoned
 from repro.obs.metrics import GLOBAL_METRICS
@@ -68,6 +69,11 @@ class Answer:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Answer":
+        """Parse one uploaded answer; ``ValueError`` on an unknown label."""
+        if data["answer"] not in ANSWERS:
+            raise ValueError(
+                f"answer must be one of {ANSWERS}, got {data['answer']!r}"
+            )
         return cls(
             integrated_id=data["integrated_id"],
             question_id=data["question_id"],
@@ -114,13 +120,27 @@ class ParticipantResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ParticipantResult":
+        """Parse one upload. Raises ``ValueError`` (the server answers 400)
+        on non-string ids, a non-finite or negative ``total_minutes``, a
+        negative ``revisits`` or an answer label outside ``ANSWERS``."""
+        for key in ("test_id", "worker_id"):
+            if not isinstance(data[key], str):
+                raise ValueError(f"{key} must be a string, got {data[key]!r}")
+        total_minutes = float(data.get("total_minutes", 0.0))
+        if not math.isfinite(total_minutes) or total_minutes < 0:
+            raise ValueError(
+                f"total_minutes must be finite and >= 0, got {total_minutes!r}"
+            )
+        revisits = int(data.get("revisits", 0))
+        if revisits < 0:
+            raise ValueError(f"revisits must be >= 0, got {revisits}")
         return cls(
             test_id=data["test_id"],
             worker_id=data["worker_id"],
             demographics=dict(data["demographics"]),
             answers=[Answer.from_dict(a) for a in data["answers"]],
-            total_minutes=float(data.get("total_minutes", 0.0)),
-            revisits=int(data.get("revisits", 0)),
+            total_minutes=total_minutes,
+            revisits=revisits,
             abandoned=bool(data.get("abandoned", False)),
             abandon_reason=str(data.get("abandon_reason", "")),
         )

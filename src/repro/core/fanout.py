@@ -16,7 +16,7 @@ picklable description of the campaign, never the live ``Campaign`` /
   live resilience knobs (a caller may have overridden them post-init);
 * the prepared test, the storage file snapshot and the test's database
   record — enough to rebuild a private core server per worker process;
-* the roster and the fan-out's ``root_entropy`` (workers re-derive every
+* the roster and the fan-out's ``root_entropy`` (workers re-derive each
   substream, keeping stream *alignment* with the serial run);
 * a read-only snapshot of the prebuilt :class:`~repro.render.artifacts.
   PageArtifactCache` entries, so workers start 100% warm and never redo
@@ -56,8 +56,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.aggregator import RESPONSES_COLLECTION, TESTS_COLLECTION
 from repro.errors import CampaignError
 from repro.net.simnet import SimulatedNetwork, TrafficStats
@@ -69,6 +67,7 @@ from repro.sim.clock import SimulationEnvironment
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
 from repro.util.executors import chunk_indices, process_context
+from repro.util.rng import roster_stream
 
 
 def ensure_picklable(obj: Any, what: str) -> None:
@@ -239,7 +238,7 @@ def build_spec(
 
 
 class _WorkerRuntime:
-    """Per-process state: stores, substreams, and the shared artifact map.
+    """Per-process state: stores and the shared artifact map.
 
     Built once per worker process by the pool initializer; every chunk the
     process executes reuses the stores and the artifact entry map (exactly
@@ -257,11 +256,6 @@ class _WorkerRuntime:
         self.storage = FileStore()
         for path, content in spec.storage_files.items():
             self.storage.write(path, content)
-        # Spawn a substream per roster slot — not just per pending index —
-        # so worker i draws from substream i exactly as the serial run does.
-        self.streams = np.random.SeedSequence(spec.root_entropy).spawn(
-            len(spec.workers)
-        )
         # Adopted by reference into each chunk campaign's cache: entries a
         # chunk builds on demand are visible to later chunks in this process.
         self.entries = spec.artifact_entries
@@ -324,7 +318,8 @@ class _WorkerRuntime:
         try:
             for index in indices:
                 worker = spec.workers[index]
-                rng = np.random.default_rng(self.streams[index])
+                # Slot i draws substream i, exactly as the serial run does.
+                rng = roster_stream(spec.root_entropy, index)
                 offset = (
                     spec.arrival_offsets[index]
                     if index < len(spec.arrival_offsets)

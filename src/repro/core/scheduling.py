@@ -45,17 +45,13 @@ distinguish.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.btmodel import PairwiseCounts
+from repro.crowd.judgment import ANSWER_LEFT, ANSWER_RIGHT, ANSWER_SAME, ANSWERS
 from repro.errors import ValidationError
-
-ANSWER_LEFT = "left"
-ANSWER_RIGHT = "right"
-ANSWER_SAME = "same"
 
 #: Participant id used by the single-participant driving pattern
 #: (``next_pair()`` / ``report()`` without an explicit id).
@@ -66,32 +62,6 @@ SCHEDULER_MODES = ("full", "bubble", "insertion", "merge", "adaptive")
 
 #: The mode that reproduces the historical hardcoded-``all_pairs`` design.
 SCHEDULER_FULL = "full"
-
-_LEGACY_WARNED = False
-
-
-def warn_legacy_scheduler(what: str) -> None:
-    """Once-per-process deprecation warning for the pre-registry surface
-    (``Campaign.run_adaptive``, the CLI ``--adaptive`` flag, and the
-    ``_SchedulerBase`` name)."""
-    global _LEGACY_WARNED
-    if _LEGACY_WARNED:
-        return
-    _LEGACY_WARNED = True
-    warnings.warn(
-        f"{what} is deprecated; select a scheduler with "
-        "CampaignConfig(scheduler=...) / `run --scheduler` instead (see "
-        "README 'Choosing a comparison scheduler')",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_legacy_scheduler_warning() -> None:
-    """Test hook: re-arm the once-per-process warning."""
-    global _LEGACY_WARNED
-    _LEGACY_WARNED = False
-
 
 def all_pairs(version_ids: Sequence[str]) -> List[Tuple[str, str]]:
     """Every unordered pair, in deterministic lexicographic-combination order."""
@@ -268,7 +238,7 @@ class Scheduler:
         orientation-free and the decision hook receives the answer oriented
         to the scheduler's own current comparison.
         """
-        if answer not in (ANSWER_LEFT, ANSWER_RIGHT, ANSWER_SAME):
+        if answer not in ANSWERS:
             raise ValidationError(f"answer must be left/right/same, got {answer!r}")
         if weight <= 0:
             raise ValidationError(f"weight must be > 0, got {weight}")
@@ -286,7 +256,7 @@ class Scheduler:
         already advanced by the answer is not rewound; subclasses refresh
         anything derived from the tally via ``_retract``.
         """
-        if answer not in (ANSWER_LEFT, ANSWER_RIGHT, ANSWER_SAME):
+        if answer not in ANSWERS:
             raise ValidationError(f"answer must be left/right/same, got {answer!r}")
         if weight <= 0:
             raise ValidationError(f"weight must be > 0, got {weight}")
@@ -795,10 +765,3 @@ def drive_scheduler(scheduler: Scheduler, comparator) -> List[str]:
             break
         scheduler.report(comparator(*pair))
     return scheduler.ranking()
-
-
-def __getattr__(name: str):
-    if name == "_SchedulerBase":
-        warn_legacy_scheduler("the _SchedulerBase name")
-        return Scheduler
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.analysis import BehaviorCdfs, RankingDistribution, behavior_cdfs
 from repro.core.campaign import Campaign, CampaignResult
+from repro.core.config import CampaignConfig
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.quality import QualityConfig
 from repro.crowd.inlab import InLabStudy
@@ -208,12 +209,16 @@ class FontSizeExperiment:
     ) -> CampaignResult:
         """The Kaleidoscope arm: FigureEight recruitment + extension flow.
 
-        ``parallelism`` and ``artifact_cache`` pass straight through to
-        :class:`~repro.core.campaign.Campaign` — the perf benchmark drives
-        this arm in both its brute-force and fast-path configurations.
+        ``parallelism`` and ``artifact_cache`` pass straight through to the
+        campaign's :class:`~repro.core.config.CampaignConfig` (``None``
+        parallelism = one worker) — the perf benchmark drives this arm in
+        both its brute-force and fast-path configurations.
         """
         campaign = Campaign(
-            seed=self.seeds.seed("crowd-campaign"), artifact_cache=artifact_cache
+            config=CampaignConfig(
+                seed=self.seeds.seed("crowd-campaign"),
+                artifact_cache=artifact_cache,
+            )
         )
         documents = build_font_variants()
         parameters = build_parameters(participants)

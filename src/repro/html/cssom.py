@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.html.dom import Document, Element
 from repro.html.selectors import Selector, compile_selector_list
-from repro.util.perf import PERF
+from repro.obs.metrics import GLOBAL_METRICS
 
 # Properties whose computed value transfers from parent to child.
 INHERITED_PROPERTIES = frozenset(
@@ -324,7 +324,7 @@ class StyleResolver:
                 current = best_by_rule.get(id(rule))
                 if current is None or specificity > current[1]:
                     best_by_rule[id(rule)] = (rule, specificity)
-            PERF.add("cascade.candidates_tested", candidates)
+            GLOBAL_METRICS.add("cascade.candidates_tested", candidates)
             for rule, best in best_by_rule.values():
                 for declaration in rule.declarations:
                     consider(
@@ -335,7 +335,7 @@ class StyleResolver:
                         rule.source_order,
                     )
         else:
-            PERF.add("cascade.candidates_tested", len(self.sheet.rules))
+            GLOBAL_METRICS.add("cascade.candidates_tested", len(self.sheet.rules))
             for rule in self.sheet.rules:
                 matched = [s for s in rule.selectors if s.matches(element)]
                 if not matched:
@@ -363,7 +363,7 @@ class StyleResolver:
         cached = self._cache.get(element)
         if cached is not None:
             return cached
-        PERF.add("cascade.elements", 1)
+        GLOBAL_METRICS.add("cascade.elements", 1)
         parent_style: Dict[str, str] = {}
         if element.parent is not None:
             parent_style = self.computed_style(element.parent)

@@ -8,8 +8,7 @@ Zero-dependency instrumentation for the campaign pipeline, driven by the
   build detached subtrees that are adopted in roster order, so the tree is
   bit-identical at any parallelism level.
 * :mod:`repro.obs.metrics` — counters, gauges, histograms and
-  exception-safe wall timers; absorbs and supersedes the legacy
-  ``repro.util.perf`` registry (which now re-exports from here).
+  exception-safe wall timers.
 * :mod:`repro.obs.timeline` — a :class:`~repro.obs.timeline.RunTimeline`
   exporter emitting Chrome trace-event JSON plus a human-readable text
   report, and the schema validator CI runs over the artifact.

@@ -1,11 +1,10 @@
 """Metrics registry: counters, gauges, histograms and wall-clock timers.
 
 This is the quantitative half of the observability layer (the qualitative
-half — nested spans — lives in :mod:`repro.obs.tracing`). It absorbs and
-supersedes the ad-hoc ``repro.util.perf`` counters: :class:`MetricsRegistry`
-keeps the whole legacy ``PerfRegistry`` surface (``add`` / ``counter`` /
-``timed`` / ``timer_seconds`` / ``timer_calls`` / ``snapshot`` / ``reset``)
-and adds:
+half — nested spans — lives in :mod:`repro.obs.tracing`).
+:class:`MetricsRegistry` has the plain counter/timer surface (``add`` /
+``counter`` / ``timed`` / ``timer_seconds`` / ``timer_calls`` /
+``snapshot`` / ``reset``) and adds:
 
 * **gauges** — last-written named values (``set_gauge("campaign.roster", 20)``);
 * **histograms** — order-independent aggregates (count / total / min / max)
@@ -193,8 +192,9 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """A JSON-ready copy of every section.
 
-        The ``counters`` / ``timers`` keys keep the exact legacy
-        ``PerfRegistry`` shape; ``gauges`` / ``histograms`` are additive.
+        The ``counters`` / ``timers`` keys keep their original shape (the
+        benchmark reports read them); ``gauges`` / ``histograms`` are
+        additive.
         """
         with self._lock:
             return {
@@ -299,6 +299,5 @@ class MetricsRegistry:
 
 
 #: The process-global default registry. Components fall back to it when no
-#: campaign-scoped registry is injected — which is exactly what keeps the
-#: legacy ``repro.util.perf.PERF`` call sites working unchanged.
+#: campaign-scoped registry is injected.
 GLOBAL_METRICS = MetricsRegistry()

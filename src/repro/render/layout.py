@@ -30,7 +30,7 @@ from repro.errors import LayoutError
 from repro.html.cssom import StyleResolver, parse_length
 from repro.html.dom import Document, Element, Text
 from repro.render.box import Box, Viewport, DEFAULT_VIEWPORT
-from repro.util.perf import PERF
+from repro.obs.metrics import GLOBAL_METRICS
 
 # Tags that never generate boxes.
 NON_RENDERED_TAGS = frozenset(
@@ -112,7 +112,7 @@ class LayoutEngine:
         body = document.body
         if body is None:
             raise LayoutError("document has no <body> to lay out")
-        with PERF.timed("layout.pass"):
+        with GLOBAL_METRICS.timed("layout.pass"):
             resolver = StyleResolver(document, use_index=self.use_style_index)
             result = LayoutResult(viewport=self.viewport)
             content_width = self.viewport.width
@@ -120,7 +120,7 @@ class LayoutEngine:
             result.page_height = height
             result.boxes[id(body)] = Box(0.0, 0.0, content_width, height)
             result.elements[id(body)] = body
-        PERF.add("layout.boxes", len(result.boxes))
+        GLOBAL_METRICS.add("layout.boxes", len(result.boxes))
         return result
 
     # -- internals ----------------------------------------------------------

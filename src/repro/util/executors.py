@@ -1,7 +1,7 @@
 """Executor selection and sizing for the participant fan-out.
 
-The campaign's deterministic fan-out mode can run a roster three ways —
-``serial`` (inline), ``thread`` (a :class:`~concurrent.futures.
+The campaign's deterministic roster fan-out can run three ways —
+``serial`` (in the calling thread), ``thread`` (a :class:`~concurrent.futures.
 ThreadPoolExecutor`) or ``process`` (a :class:`~concurrent.futures.
 ProcessPoolExecutor`) — all concluding bit-identically for a fixed seed
 because every participant simulates on an independent RNG substream and

@@ -43,6 +43,17 @@ def derive_random(root_seed: int, label: str) -> random.Random:
     return random.Random(spawn_seed(root_seed, label))
 
 
+def roster_stream(root_entropy: int, index: int) -> np.random.Generator:
+    """The RNG stream of roster slot ``index`` in a fan-out rooted at
+    ``root_entropy``: child ``index`` of ``SeedSequence(root_entropy).spawn``,
+    built on its own so a roster never holds one stream per slot. Slot i
+    draws the same stream however the roster is split, executed or resumed.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(root_entropy, spawn_key=(index,))
+    )
+
+
 class SeedSequenceFactory:
     """Hands out labelled child RNGs derived from one root seed.
 

@@ -6,11 +6,7 @@ import warnings
 import pytest
 
 from repro.core.campaign import Campaign
-from repro.core.config import (
-    DEFAULT_HOST,
-    CampaignConfig,
-    _reset_deprecation_warning,
-)
+from repro.core.config import DEFAULT_HOST, CampaignConfig
 from repro.core.conclusion import Conclusion, DegradedConclusion
 from repro.core.extension import BrowserExtension, make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
@@ -58,13 +54,15 @@ class TestConfigObject:
     def test_replace_derives_variant(self):
         base = CampaignConfig(seed=7)
         variant = base.replace(parallelism=4, observe=True)
-        assert base.parallelism is None and not base.observe
+        assert base.parallelism == 1 and not base.observe
         assert variant.seed == 7 and variant.parallelism == 4 and variant.observe
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"parallelism": 0},
+            {"parallelism": None},
+            {"parallelism": 1.5},
             {"min_participants": -1},
             {"quorum": 0.0},
             {"quorum": 1.5},
@@ -104,40 +102,15 @@ class TestConfigObject:
 
 
 class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_once_and_still_work(self):
-        _reset_deprecation_warning()
-        with pytest.warns(DeprecationWarning, match="CampaignConfig"):
-            campaign = Campaign(seed=5, dropout_rate=0.02)
-        assert campaign.config.dropout_rate == 0.02
-        # Second construction in the same process stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            Campaign(seed=6, dropout_rate=0.02)
+    def test_legacy_kwargs_rejected(self):
+        # Settings travel only in the config; the per-kwarg surface is gone.
+        with pytest.raises(TypeError):
+            Campaign(seed=5, dropout_rate=0.02)
 
     def test_config_path_does_not_warn(self):
-        _reset_deprecation_warning()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Campaign(config=CampaignConfig(seed=5, dropout_rate=0.02))
-
-    def test_legacy_and_config_runs_match(self):
-        _reset_deprecation_warning()
-        plan = FaultPlan.lossy(seed=9, drop_rate=0.05)
-        policy = RetryPolicy(max_attempts=3, backoff_base_seconds=0.5)
-        with pytest.warns(DeprecationWarning):
-            legacy = Campaign(seed=9, fault_plan=plan, retry_policy=policy)
-        legacy.prepare(make_params(), make_documents())
-        legacy_result = legacy.run(make_judge())
-
-        modern = Campaign(
-            config=CampaignConfig(seed=9, fault_plan=plan, retry_policy=policy)
-        )
-        modern.prepare(make_params(), make_documents())
-        modern_result = modern.run(make_judge())
-
-        assert [r.as_dict() for r in legacy_result.raw_results] == [
-            r.as_dict() for r in modern_result.raw_results
-        ]
 
 
 class TestConfigReachesComponents:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.quality import REASON_ABANDONED, QualityConfig
@@ -58,7 +59,7 @@ def fingerprint(result, campaign):
 class TestDefaultUnchanged:
     def test_none_plan_bit_identical_to_no_plan(self):
         def run(fault_plan):
-            campaign = Campaign(seed=11, fault_plan=fault_plan)
+            campaign = Campaign(config=CampaignConfig(seed=11, fault_plan=fault_plan))
             campaign.prepare(make_params(), make_documents())
             result = campaign.run(make_judge())
             return (
@@ -73,7 +74,7 @@ class TestDefaultUnchanged:
 
     def test_none_plan_bit_identical_across_parallelism(self):
         def run(parallelism, fault_plan):
-            campaign = Campaign(seed=12, fault_plan=fault_plan)
+            campaign = Campaign(config=CampaignConfig(seed=12, fault_plan=fault_plan))
             campaign.prepare(make_params(participants=6), make_documents())
             workers = generate_population(6, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=5, id_prefix="w")
             result = campaign.run_with_workers(
@@ -92,10 +93,12 @@ class TestDefaultUnchanged:
 class TestDegradedConclusion:
     def lossy_campaign(self, seed=21, dropout=0.25, participants=10):
         campaign = Campaign(
-            seed=seed,
-            fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
-            retry_policy=RETRIES,
-            dropout_rate=dropout,
+            config=CampaignConfig(
+                seed=seed,
+                fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
+                retry_policy=RETRIES,
+                dropout_rate=dropout,
+            )
         )
         campaign.prepare(
             make_params(participants=participants), make_documents()
@@ -157,13 +160,15 @@ class TestDegradedConclusion:
 class TestLossyDeterminism:
     def run_lossy(self, parallelism, seed=31):
         campaign = Campaign(
-            seed=seed,
-            fault_plan=FaultPlan.lossy(
-                seed=seed, drop_rate=0.08, error_rate=0.03, latency_rate=0.05
-            ),
-            retry_policy=RETRIES,
-            breaker_config=CircuitBreakerConfig(failure_threshold=5),
-            dropout_rate=0.2,
+            config=CampaignConfig(
+                seed=seed,
+                fault_plan=FaultPlan.lossy(
+                    seed=seed, drop_rate=0.08, error_rate=0.03, latency_rate=0.05
+                ),
+                retry_policy=RETRIES,
+                breaker_config=CircuitBreakerConfig(failure_threshold=5),
+                dropout_rate=0.2,
+            )
         )
         campaign.prepare(make_params(participants=8), make_documents())
         workers = generate_population(8, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=9, id_prefix="w")
@@ -196,10 +201,12 @@ class CrashingJudge:
 class TestCheckpointResume:
     def build(self, seed=41):
         campaign = Campaign(
-            seed=seed,
-            fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
-            retry_policy=RETRIES,
-            dropout_rate=0.15,
+            config=CampaignConfig(
+                seed=seed,
+                fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
+                retry_policy=RETRIES,
+                dropout_rate=0.15,
+            )
         )
         campaign.prepare(make_params(participants=8), make_documents())
         return campaign
@@ -255,10 +262,12 @@ class TestSerializedResume:
 
     def build(self, seed=44):
         campaign = Campaign(
-            seed=seed,
-            fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
-            retry_policy=RETRIES,
-            dropout_rate=0.15,
+            config=CampaignConfig(
+                seed=seed,
+                fault_plan=FaultPlan.lossy(seed=seed, drop_rate=0.05),
+                retry_policy=RETRIES,
+                dropout_rate=0.15,
+            )
         )
         campaign.prepare(make_params(participants=8), make_documents())
         return campaign
@@ -308,16 +317,25 @@ class TestSerializedResume:
         )
         assert fingerprint(resumed, fresh) == fingerprint(clean, reference)
 
-    def test_resume_from_requires_fanout_mode(self):
+    def test_resume_from_default_config(self):
+        # Every run is a roster fan-out, so a campaign on the default config
+        # leaves resume state behind and resumes from it with no extra knob.
         workers = generate_population(
             4, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=16, id_prefix="w"
         )
-        campaign = Campaign(seed=45)
-        campaign.prepare(make_params(participants=4), make_documents())
-        with pytest.raises(CampaignError, match="parallelism"):
-            campaign.run_with_workers(
-                workers, make_judge(), resume_from={"root_entropy": 1}
-            )
+        reference = self.build()
+        clean = reference.run_with_workers(workers, make_judge())
+
+        crashed = self.build()
+        judge = CrashingJudge(make_judge(), workers[2].worker_id)
+        with pytest.raises(RuntimeError, match="simulated mid-campaign crash"):
+            crashed.run_with_workers(workers, judge)
+
+        fresh = self.build()
+        resumed = fresh.run_with_workers(
+            workers, make_judge(), resume_from=crashed.resume_state()
+        )
+        assert fingerprint(resumed, fresh) == fingerprint(clean, reference)
 
 
 class TestLostUploads:
@@ -326,11 +344,13 @@ class TestLostUploads:
         # test but cannot upload; a resilient campaign records losses and
         # still concludes from the survivors.
         campaign = Campaign(
-            seed=51,
-            fault_plan=FaultPlan(seed=51).with_rule(
-                FaultRule(FAULT_DROP, 0.7, path_prefix="/responses")
-            ),
-            retry_policy=RetryPolicy(max_attempts=2, backoff_base_seconds=0.1),
+            config=CampaignConfig(
+                seed=51,
+                fault_plan=FaultPlan(seed=51).with_rule(
+                    FaultRule(FAULT_DROP, 0.7, path_prefix="/responses")
+                ),
+                retry_policy=RetryPolicy(max_attempts=2, backoff_base_seconds=0.1),
+            )
         )
         campaign.prepare(make_params(participants=8), make_documents())
         result = campaign.run(make_judge())

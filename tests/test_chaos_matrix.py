@@ -10,6 +10,7 @@ move. CI's ``chaos`` job runs this module on its own after the full suite.
 import pytest
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.crowd.judgment import ThurstoneChoiceModel
@@ -39,7 +40,7 @@ def scenario_kwargs(name, seed):
 
 
 def run_cell(name, seed, parallelism):
-    campaign = Campaign(seed=seed, **scenario_kwargs(name, seed))
+    campaign = Campaign(config=CampaignConfig(seed=seed, **scenario_kwargs(name, seed)))
     campaign.prepare(
         TestParameters(
             test_id="chaos-test",

@@ -120,7 +120,7 @@ class TestRun:
                 str(workspace / "pages"),
                 "--seed",
                 "7",
-                "--adaptive",
+                "--scheduler",
                 "merge",
                 "--utilities",
                 str(workspace / "utils.json"),

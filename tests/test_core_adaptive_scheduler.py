@@ -3,12 +3,10 @@
 Covers the AdaptiveScheduler itself (early stopping, budget stop,
 bit-identical checkpoint/resume, retraction), the flip-risk scoring
 helper, the scheduler registry surface, the server's ``/schedule``
-routes, campaign-level executor determinism, and the once-per-process
-legacy deprecation warnings.
+routes, and campaign-level executor determinism.
 """
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -29,10 +27,8 @@ from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.scheduling import (
     MergeSortScheduler,
     SchedulerConfig,
-    _reset_legacy_scheduler_warning,
     make_scheduler,
     scheduler_from_snapshot,
-    warn_legacy_scheduler,
 )
 from repro.core.server import CoreServer
 from repro.crowd.judgment import ThurstoneChoiceModel
@@ -379,7 +375,7 @@ class TestServerScheduleRoutes:
         ).status == 400
 
 
-def _adaptive_campaign(executor, parallelism=None):
+def _adaptive_campaign(executor, parallelism=1):
     campaign = Campaign(
         config=CampaignConfig(
             seed=11,
@@ -433,31 +429,6 @@ class TestCampaignAdaptiveDeterminism:
         payload = json.loads(json.dumps(result.to_dict(), default=str))
         assert payload["early_stop"] is not None
         assert payload["early_stop"]["reason"] in ("stable", "budget")
-
-
-class TestLegacyDeprecation:
-    def test_warns_once_per_process(self):
-        _reset_legacy_scheduler_warning()
-        with pytest.deprecated_call():
-            warn_legacy_scheduler("the --adaptive flag")
-        with warnings.catch_warnings(record=True) as captured:
-            warnings.simplefilter("always")
-            warn_legacy_scheduler("the --adaptive flag")
-        assert captured == []
-        _reset_legacy_scheduler_warning()
-
-    def test_run_adaptive_warns(self):
-        _reset_legacy_scheduler_warning()
-        campaign = _adaptive_campaign("serial")
-        with pytest.deprecated_call():
-            campaign.run_adaptive(
-                make_utility_judge(
-                    {"p0": 1.0, "p1": 0.0, "p2": -1.0, "__contrast__": -5.0},
-                    ThurstoneChoiceModel(),
-                ),
-                MergeSortScheduler,
-            )
-        _reset_legacy_scheduler_warning()
 
 
 answers = st.lists(

@@ -151,3 +151,36 @@ class TestSequentialCampaign:
             judge, "q1", ("a", "b"), alpha=0.001, batch_size=10, max_participants=40
         )
         assert result.participants == 40
+
+    def test_shared_scheduler_refused(self):
+        # Each batch is its own roster, so a shared scheduler would restart
+        # from an empty tally every batch; the sequential mode refuses it.
+        from repro.core.campaign import Campaign
+        from repro.core.config import CampaignConfig
+        from repro.core.extension import make_utility_judge
+        from repro.core.parameters import Question, TestParameters, WebpageSpec
+        from repro.crowd.judgment import ThurstoneChoiceModel
+        from repro.errors import CampaignError
+        from repro.html.parser import parse_html
+
+        campaign = Campaign(config=CampaignConfig(seed=23, scheduler="adaptive"))
+        params = TestParameters(
+            test_id="seq3",
+            test_description="sequential adaptive",
+            participant_num=20,
+            question=[Question("q1", "Which?")],
+            webpages=[
+                WebpageSpec(web_path=p, web_page_load=500) for p in ("a", "b", "c")
+            ],
+        )
+        documents = {
+            p: parse_html(f"<html><body><p>{p} text</p></body></html>")
+            for p in ("a", "b", "c")
+        }
+        campaign.prepare(params, documents)
+        judge = make_utility_judge(
+            {"a": 0.0, "b": 1.0, "c": 0.5, "__contrast__": -9.0},
+            ThurstoneChoiceModel(),
+        )
+        with pytest.raises(CampaignError, match="shared"):
+            campaign.run_until_significant(judge, "q1", ("a", "b"))

@@ -239,6 +239,41 @@ class TestUndecodableBodies:
         assert server.platform.jobs == {}
 
 
+def _malformed(field, value, in_answer=False):
+    payload = upload_payload()
+    (payload["answers"][0] if in_answer else payload)[field] = value
+    return payload
+
+
+class TestMalformedUploads:
+    """A decodable upload with impossible values is rejected with 400 and
+    never stored, so quality control and the tallies never see it."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            _malformed("total_minutes", float("nan")),
+            _malformed("total_minutes", float("inf")),
+            _malformed("total_minutes", -5),
+            _malformed("revisits", -1),
+            _malformed("worker_id", 7),
+            _malformed("test_id", ["srv-test"]),
+            _malformed("answer", "banana", in_answer=True),
+        ],
+        ids=["nan-minutes", "inf-minutes", "negative-minutes",
+             "negative-revisits", "int-worker-id", "list-test-id",
+             "unknown-answer"],
+    )
+    def test_rejected_and_not_stored(self, stack, payload):
+        server, network, _, database = stack
+        before = database.dump()
+        response = network.exchange(
+            Request.post_json(server.url("/responses"), payload)
+        )[0]
+        assert response.status == 400
+        assert database.dump() == before
+
+
 class TestDedupeWork:
     """Work-counter gate: the dedupe probes of an upload examine O(1)
     stored documents, however many rows the test already holds."""

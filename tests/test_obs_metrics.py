@@ -4,8 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
-from repro.util.perf import PERF, PerfRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestCounters:
@@ -154,16 +153,10 @@ class TestThreadSafety:
 
 
 class TestPerfShim:
-    """repro.util.perf is now a re-export of the obs registry."""
-
-    def test_perf_is_the_global_registry(self):
-        assert PERF is GLOBAL_METRICS
-
-    def test_perf_registry_is_metrics_registry(self):
-        assert PerfRegistry is MetricsRegistry
+    """The historical counter/timer surface lives on MetricsRegistry."""
 
     def test_legacy_surface_still_present(self):
-        m = PerfRegistry()
+        m = MetricsRegistry()
         m.add("legacy", 1)
         with m.timed("legacy.block"):
             pass

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.campaign import Campaign
+from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.crowd.judgment import ThurstoneChoiceModel
@@ -27,7 +28,7 @@ from repro.html.cssom import RuleIndex, StyleResolver, parse_stylesheet
 from repro.html.dom import Document, Element, Text
 from repro.html.parser import parse_html
 from repro.render.artifacts import PageArtifactCache, content_hash
-from repro.util.perf import PERF, PerfRegistry
+from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 
 
 # -- indexed cascade == brute-force cascade ---------------------------------
@@ -279,13 +280,13 @@ class TestPageArtifactCache:
 
 class TestPerfRegistry:
     def test_counters_accumulate(self):
-        perf = PerfRegistry()
+        perf = MetricsRegistry()
         perf.add("x", 2)
         perf.add("x")
         assert perf.counter("x") == 3
 
     def test_timers_record_calls_and_seconds(self):
-        perf = PerfRegistry()
+        perf = MetricsRegistry()
         with perf.timed("t"):
             pass
         with perf.timed("t"):
@@ -294,7 +295,7 @@ class TestPerfRegistry:
         assert perf.timer_seconds("t") >= 0.0
 
     def test_snapshot_shape(self):
-        perf = PerfRegistry()
+        perf = MetricsRegistry()
         perf.add("c", 5)
         with perf.timed("t"):
             pass
@@ -303,7 +304,7 @@ class TestPerfRegistry:
         assert snap["timers"]["t"]["calls"] == 1
 
     def test_reset_by_prefix(self):
-        perf = PerfRegistry()
+        perf = MetricsRegistry()
         perf.add("cascade.elements", 1)
         perf.add("layout.boxes", 1)
         perf.reset(prefix="cascade.")
@@ -311,14 +312,14 @@ class TestPerfRegistry:
         assert perf.counter("layout.boxes") == 1
 
     def test_global_registry_wired_into_cascade(self):
-        PERF.reset(prefix="cascade.")
+        GLOBAL_METRICS.reset(prefix="cascade.")
         document = parse_html(
             "<html><head><style>p { color: red }</style></head>"
             "<body><p>x</p></body></html>"
         )
         resolver = StyleResolver(document)
         resolver.computed_style(document.body.element_children[0])
-        assert PERF.counter("cascade.elements") >= 1
+        assert GLOBAL_METRICS.counter("cascade.elements") >= 1
 
 
 # -- parallel participant simulation ----------------------------------------
@@ -352,7 +353,7 @@ def make_judge():
 
 
 def run_campaign(parallelism, seed=7, artifact_cache=True):
-    campaign = Campaign(seed=seed, artifact_cache=artifact_cache)
+    campaign = Campaign(config=CampaignConfig(seed=seed, artifact_cache=artifact_cache))
     campaign.prepare(make_params(), make_documents())
     return campaign.run(make_judge(), reward_usd=0.1, parallelism=parallelism)
 

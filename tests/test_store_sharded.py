@@ -1,11 +1,9 @@
 """Tests for the hash-sharded, WAL-backed document store."""
 
-import warnings
-
 import pytest
 
 from repro.core.aggregator import RESPONSE_IDENTITY, RESPONSES_COLLECTION
-from repro.core.server import CoreServer, _reset_store_kwarg_warning
+from repro.core.server import CoreServer
 from repro.errors import DuplicateKeyError, StorageError, ValidationError
 from repro.storage.documentstore import CompoundIndex, DocumentStore
 from repro.storage.filestore import FileStore
@@ -356,23 +354,9 @@ class TestObservabilityAndValidation:
 
 
 class TestServerStoreKwargShim:
-    def test_store_alias_works_with_one_warning_per_process(self):
-        _reset_store_kwarg_warning()
-        database = DocumentStore()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            server = CoreServer(store=database, storage=FileStore())
-            CoreServer(store=DocumentStore(), storage=FileStore())
-        assert server.database is database
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "CoreServer(store=...)" in str(deprecations[0].message)
-        _reset_store_kwarg_warning()
-
     def test_both_database_and_store_rejected(self):
-        with pytest.raises(ValidationError):
+        # The store= alias is gone: CoreServer takes only database=.
+        with pytest.raises(TypeError):
             CoreServer(
                 database=DocumentStore(),
                 storage=FileStore(),

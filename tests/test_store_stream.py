@@ -10,7 +10,7 @@ from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.quality import QualityConfig
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ValidationError
 
 
 def result_digest(result):
@@ -205,11 +205,11 @@ class TestCrashRecovery:
 
 class TestStreamingGuards:
     def test_adaptive_mode_rejected(self):
-        config = CampaignConfig(seed=13, store="sharded-streaming")
-        campaign = Campaign(config=config)
-        campaign.prepare(make_params(), make_documents())
-        with pytest.raises(CampaignError, match="adaptive"):
-            campaign.run_adaptive(make_judge(), scheduler_factory=None)
+        # Sort schedulers give each participant a different pair schedule,
+        # which the streaming screen's fixed expected-answer count cannot
+        # judge; the config refuses the combination up front.
+        with pytest.raises(ValidationError, match="sharded-streaming"):
+            CampaignConfig(seed=13, store="sharded-streaming", scheduler="insertion")
 
     def test_conclude_quality_config_conflict_rejected(self):
         config = CampaignConfig(seed=14, store="sharded-streaming")
