@@ -14,8 +14,9 @@ Three phases prove the adaptive Bradley-Terry scheduler (ISSUE 10):
   ground-truth ranking, clean and under chaos, with at most 40% of the
   full C(N,2) answer count (``--assert-savings`` exits nonzero otherwise).
 * **identity** — a small adaptive campaign concludes byte-identically
-  across serial / thread / process executors and a crash-resumed run
-  (checkpoint mid-roster, resume on a fresh campaign), and the N=50 clean
+  across serial / thread / process executors, a serial run on the
+  ``sharded-streaming`` store, and a crash-resumed run (checkpoint
+  mid-roster, resume on a fresh campaign), and the N=50 clean
   drive replays bit-identically through a JSON snapshot/restore at the
   halfway point.
 
@@ -221,13 +222,16 @@ def savings_gate(rows: List[dict], n: int = GATE_N) -> dict:
 # -- phase 2: identity across executors + checkpoint/resume ------------------
 
 
-def _identity_campaign(executor: str, parallelism: int) -> Campaign:
+def _identity_campaign(
+    executor: str, parallelism: int, store: str = "memory"
+) -> Campaign:
     campaign = Campaign(
         config=CampaignConfig(
             seed=SEED + 1,
             scheduler="adaptive",
             executor=executor,
             parallelism=parallelism,
+            store=store,
         )
     )
     spec = TestParameters(
@@ -283,6 +287,13 @@ def run_identity_phase(resume_at: int = 60) -> dict:
         verdicts.add(
             (result.early_stop.reason, tuple(result.early_stop.ranking))
         )
+
+    # The same campaign on the WAL-backed sharded store concludes through
+    # the same fold of the stored rows.
+    sharded = _identity_campaign("serial", 1, store="sharded-streaming")
+    result = sharded.run_with_workers(roster, judge)
+    digests["adaptive/sharded-streaming"] = _identity_digest(result)
+    verdicts.add((result.early_stop.reason, tuple(result.early_stop.ranking)))
 
     # Crash-resume: die at the mid-roster checkpoint, resume on a fresh
     # campaign from the serialized state (which carries the scheduler
@@ -377,7 +388,8 @@ def run_adaptive_benchmark(ns: Sequence[int] = DEFAULT_NS) -> dict:
             "savings_met": gate["met"] if gate else None,
             "identity_target": (
                 "adaptive conclusion byte-identical across serial/thread/"
-                "process executors and a crash-resumed run; scheduler "
+                "process executors, the sharded-streaming store and a "
+                "crash-resumed run; scheduler "
                 "snapshot replay bit-identical"
             ),
             "identity_met": identity["met"],

@@ -9,9 +9,10 @@ Two phases prove the `sharded-streaming` store mode (ISSUE 9):
   ``ru_maxrss``; the phase asserts a peak-RSS ceiling and that the
   streaming aggregator's sufficient-statistics size is O(pairs) — the cell
   count at 1M participants must equal the cell count of a tiny run.
-* **crosscheck** — a 10 000-participant campaign concludes byte-identically
-  on the batch path (in-memory store, full result scan) and the streaming
-  path, across serial / thread / process executors and a crash-resume run
+* **crosscheck** — a 10 000-participant campaign on the sharded store
+  concludes byte-identically to the batch reference (the in-memory store's
+  rows run through ``QualityControl.apply`` and ``analyze_responses``),
+  across serial / thread / process executors and a crash-resume run
   (checkpoint mid-fan-out, resume on a fresh campaign). Identity covers
   the conclusion, quality keeps/drops, raw + controlled tallies, ranking
   matrices, and the Bradley-Terry fit.
@@ -44,11 +45,13 @@ import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.core.analysis import analyze_responses
 from repro.core.btmodel import counts_from_results, fit_bradley_terry
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
 from repro.core.extension import make_utility_judge
 from repro.core.parameters import Question, TestParameters, WebpageSpec
+from repro.core.quality import QualityControl
 from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
 from repro.html.parser import parse_html
@@ -163,7 +166,6 @@ def run_rss_child(participants: int, shards: int, directory: str) -> dict:
     start = time.perf_counter()
     result = campaign.run_with_workers(roster, build_judge())
     wall = time.perf_counter() - start
-    state = campaign._streaming_state
     stats = campaign.database.stats()
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {
@@ -171,7 +173,7 @@ def run_rss_child(participants: int, shards: int, directory: str) -> dict:
         "uploaded": campaign.last_streaming.uploaded,
         "kept": result.quality_report.kept_count,
         "dropped": len(result.quality_report.dropped),
-        "aggregator_cells": state.raw.cell_count(),
+        "aggregator_cells": campaign.last_streaming.cell_count,
         "peak_rss_mb": round(peak_mb, 1),
         "wal_records": stats["wal_records"],
         "wal_bytes": stats["wal_bytes"],
@@ -194,7 +196,7 @@ def reference_cell_count() -> int:
         generate_population(16, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=SEED),
         build_judge(),
     )
-    return campaign._streaming_state.raw.cell_count()
+    return campaign.last_streaming.cell_count
 
 
 def run_rss_phase(participants: int, shards: int, ceiling_mb: float) -> dict:
@@ -239,38 +241,51 @@ def run_rss_phase(participants: int, shards: int, ceiling_mb: float) -> dict:
 # -- phase 2: batch vs streaming cross-check ---------------------------------
 
 
-def conclusion_digest(campaign: Campaign, result) -> str:
+def conclusion_digest(campaign: Campaign, result, batch: bool = False) -> str:
     """SHA-256 over everything the acceptance criterion names: conclusion,
-    quality keeps/drops, per-pair stats, rankings, and the BT fit."""
+    quality keeps/drops, per-pair stats, rankings, and the BT fit.
+
+    ``batch=True`` recomputes quality control and analysis from the stored
+    rows with the batch reference implementations (``QualityControl.apply``,
+    ``analyze_responses``, ``counts_from_results``) instead of reading the
+    campaign's streamed fold — the reference every fold must equal."""
     question_ids = [q.question_id for q in campaign.prepared.parameters.question]
-    version_ids = [
-        v for v in campaign.prepared.version_ids if v != "__contrast__"
-    ]
-    if campaign.last_streaming is not None:
-        bt = {q: campaign.last_streaming.controlled_bt[q] for q in question_ids}
-    else:
+    if batch:
+        version_ids = [
+            v for v in campaign.prepared.version_ids if v != "__contrast__"
+        ]
+        report = QualityControl(campaign.config.quality).apply(
+            result.raw_results, result.conclusion.expected_answers
+        )
+        raw_analysis = analyze_responses(
+            result.raw_results, question_ids, version_ids
+        )
+        controlled_analysis = analyze_responses(
+            report.kept, question_ids, version_ids
+        )
         bt = {
-            q: counts_from_results(result.quality_report.kept, q, version_ids)
+            q: counts_from_results(report.kept, q, version_ids)
             for q in question_ids
         }
+    else:
+        report = result.quality_report
+        raw_analysis = result.raw_analysis
+        controlled_analysis = result.controlled_analysis
+        bt = {q: campaign.last_streaming.controlled_bt[q] for q in question_ids}
     payload = {
         "conclusion": result.conclusion.to_dict(),
-        "kept": result.quality_report.kept_ids,
-        "dropped": [
-            (d.worker_id, d.reason, d.detail)
-            for d in result.quality_report.dropped
-        ],
+        "kept": report.kept_ids,
+        "dropped": [(d.worker_id, d.reason, d.detail) for d in report.dropped],
         "raw_tallies": sorted(
             (list(key), (t.left_count, t.right_count, t.same_count))
-            for key, t in result.raw_analysis.tallies.items()
+            for key, t in raw_analysis.tallies.items()
         ),
         "controlled_tallies": sorted(
             (list(key), (t.left_count, t.right_count, t.same_count))
-            for key, t in result.controlled_analysis.tallies.items()
+            for key, t in controlled_analysis.tallies.items()
         ),
         "rankings": {
-            q: result.controlled_analysis.rankings[q].matrix
-            for q in question_ids
+            q: controlled_analysis.rankings[q].matrix for q in question_ids
         },
         "bt": {
             q: {
@@ -318,7 +333,7 @@ def run_crosscheck_phase(
 
     batch = _crosscheck_campaign("memory", participants, "serial", parallelism, shards)
     batch_result = batch.run_with_workers(roster, judge)
-    reference = conclusion_digest(batch, batch_result)
+    reference = conclusion_digest(batch, batch_result, batch=True)
 
     digests = {"batch/serial": reference}
     kept = batch_result.quality_report.kept_count
@@ -362,7 +377,10 @@ def run_crosscheck_phase(
         "participants": participants,
         "parallelism": parallelism,
         "kept": kept,
-        "reference": "batch/serial (in-memory store, full result scan)",
+        "reference": (
+            "batch/serial (in-memory store; quality control and analysis "
+            "recomputed by the batch reference implementations)"
+        ),
         "digest_covers": [
             "conclusion",
             "quality kept/dropped (ids, reasons, details, order)",

@@ -143,18 +143,12 @@ def cmd_run(args) -> int:
             block = format_question_tally(tally)
             print("  " + block.replace("\n", "\n  "))
         if len(version_ids) > 2:
-            from repro.core.btmodel import fit_bradley_terry, fit_from_results
+            from repro.core.btmodel import fit_bradley_terry
 
-            if campaign.last_streaming is not None:
-                # Streaming mode kept only the sufficient statistics — fit
-                # straight from the folded win counts.
-                fit = fit_bradley_terry(
-                    campaign.last_streaming.controlled_bt[question.question_id]
-                )
-            else:
-                fit = fit_from_results(
-                    result.controlled_results, question.question_id, version_ids
-                )
+            # Fit straight from the controlled win counts conclude folded.
+            fit = fit_bradley_terry(
+                campaign.last_streaming.controlled_bt[question.question_id]
+            )
             print("\n  Bradley-Terry ranking (best first): "
                   + " > ".join(fit.ranking()))
     return 0
@@ -346,10 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--store", choices=sorted(STORE_MODES), default=None,
-        help="storage/aggregation backend: 'memory' (default, in-RAM store "
-        "+ batch conclude) or 'sharded-streaming' (WAL-backed shards with "
-        "responses spilled to the log and folded into O(pairs) streaming "
-        "sufficient statistics at upload time)",
+        help="storage backend: 'memory' (default, in-RAM store) or "
+        "'sharded-streaming' (WAL-backed shards with responses spilled to "
+        "the log); both conclude by folding the stored rows into O(pairs) "
+        "sufficient statistics",
     )
     run.add_argument(
         "--store-shards", type=int, default=None, metavar="N",

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.aggregator import RESPONSES_COLLECTION, Aggregator, PreparedTest
-from repro.core.analysis import AnalysisBundle, analyze_responses
+from repro.core.analysis import AnalysisBundle
 from repro.core.conclusion import Conclusion, DegradedConclusion
 from repro.core.config import STREAMING_NETWORK_LOG_LIMIT, CampaignConfig
 from repro.core.extension import BrowserExtension, JudgeFunction, ParticipantResult
@@ -40,7 +40,7 @@ from repro.core.fanout import run_process_fanout
 from repro.core.integrated import IntegratedWebpage
 from repro.core.parameters import TestParameters
 from repro.core.adaptive import EarlyStoppedConclusion
-from repro.core.quality import QualityConfig, QualityControl, QualityReport
+from repro.core.quality import QualityConfig, QualityControl
 from repro.core.scheduling import (
     SCHEDULER_FULL,
     Scheduler,
@@ -49,7 +49,12 @@ from repro.core.scheduling import (
     scheduler_class,
 )
 from repro.core.server import CoreServer
-from repro.store import ShardedDocumentStore, StreamingCampaignState
+from repro.store import (
+    ShardedDocumentStore,
+    StreamingCampaignState,
+    StreamingConclusionData,
+    StreamingQualityReport,
+)
 from repro.crowd.arrivals import arrival_offsets
 from repro.crowd.platform import CrowdJob, CrowdPlatform
 from repro.crowd.workers import WorkerProfile
@@ -107,8 +112,7 @@ class CampaignResult:
     """
 
     test_id: str
-    raw_results: List[ParticipantResult]
-    quality_report: QualityReport
+    quality_report: StreamingQualityReport
     raw_analysis: AnalysisBundle
     controlled_analysis: AnalysisBundle
     job: Optional[CrowdJob]
@@ -120,11 +124,10 @@ class CampaignResult:
     resume_source: Optional[Callable[[], dict]] = field(
         default=None, repr=False, compare=False
     )
-    #: Uploaded-participant count for streaming conclusions, whose
-    #: ``raw_results`` stay empty by design (the rows were folded into
-    #: sufficient statistics, never materialized). ``None`` = batch mode,
-    #: where ``len(raw_results)`` is the count.
-    participant_count: Optional[int] = None
+    #: Reads :attr:`raw_results` from the store on first access.
+    rows_source: Optional[Callable[[], List[ParticipantResult]]] = field(
+        default=None, repr=False, compare=False
+    )
     #: The adaptive scheduler's structured stopping verdict (ranking,
     #: answers used, stability evidence); ``None`` for every other
     #: scheduler mode, and for adaptive campaigns concluded before the
@@ -141,15 +144,23 @@ class CampaignResult:
         only when asked for."""
         return None if self.resume_source is None else self.resume_source()
 
-    @property
+    @functools.cached_property
+    def raw_results(self) -> List[ParticipantResult]:
+        """Every concluded upload, in upload order. Read from the store on
+        first access, so a conclude stays O(pairs) in memory unless a
+        caller asks for the rows."""
+        return [] if self.rows_source is None else self.rows_source()
+
+    @functools.cached_property
     def controlled_results(self) -> List[ParticipantResult]:
-        return self.quality_report.kept
+        """The uploads quality control kept, in kept order (worker ids are
+        unique per test: the server dedupes them)."""
+        by_worker = {result.worker_id: result for result in self.raw_results}
+        return [by_worker[worker_id] for worker_id in self.quality_report.kept_ids]
 
     @property
     def participants(self) -> int:
-        if self.participant_count is not None:
-            return self.participant_count
-        return len(self.raw_results)
+        return self.conclusion.uploaded
 
     @property
     def degraded(self) -> Optional[DegradedConclusion]:
@@ -259,10 +270,9 @@ class Campaign:
         else:
             self.database = DocumentStore()
         self.storage = storage if storage is not None else FileStore()
-        # Streaming sufficient statistics + online quality screen, built by
-        # prepare() in streaming mode and fed by the server on every upload.
-        self._streaming_state: Optional[StreamingCampaignState] = None
-        self.last_streaming = None
+        # What the last conclude's fold produced (sufficient statistics,
+        # Bradley-Terry counts); set by every conclude.
+        self.last_streaming: Optional[StreamingConclusionData] = None
         self.platform = (
             platform
             if platform is not None
@@ -375,52 +385,7 @@ class Campaign:
                 instructions=instructions,
                 mirror_pairs=randomize_orientation,
             )
-        if self.config.streaming:
-            self._ensure_streaming()
         return self.prepared
-
-    def _ensure_streaming(self) -> None:
-        """Build the streaming state for the prepared test and attach it to
-        the server, then re-fold any rows the store already holds.
-
-        The re-fold covers the two ways rows can predate the state: a
-        disk-backed :class:`~repro.store.sharded.ShardedDocumentStore` that
-        recovered a crashed run's WALs, and an externally shared database.
-        Rows stream in global ``_id`` (upload) order, so the rebuilt
-        aggregates match what an uncrashed run would hold.
-        """
-        prepared = self._require_prepared()
-        questions = len(prepared.parameters.question)
-        comparisons = len(prepared.comparison_pairs())
-        expected_answers = (comparisons + 1) * questions
-        question_ids = [q.question_id for q in prepared.parameters.question]
-        version_ids = [v for v in prepared.version_ids if v != "__contrast__"]
-        state = StreamingCampaignState(
-            prepared.test_id,
-            question_ids,
-            version_ids,
-            all_pairs(version_ids),
-            expected_answers,
-            quality_config=self.config.quality,
-        )
-        for row in self._stream_rows(prepared.test_id):
-            state.ingest_row(row)
-        self._streaming_state = state
-        self.server.attach_streaming(state)
-
-    def _stream_rows(self, test_id: str):
-        """Stored response rows in global ``_id`` (upload) order, streamed.
-
-        Uses the sharded store's lazy WAL replay when available; a plain
-        :class:`DocumentStore` yields its (already ``_id``-ordered) copies.
-        """
-        stream = getattr(self.database, "stream_collection", None)
-        if stream is not None:
-            yield from stream(RESPONSES_COLLECTION, {"test_id": test_id})
-        else:
-            yield from self.database.collection(RESPONSES_COLLECTION).find(
-                {"test_id": test_id}
-            )
 
     # -- step 2+3: post task, recruit, run participants ---------------------------
 
@@ -926,10 +891,6 @@ class Campaign:
             row = dict(row)
             row.pop("_id", None)
             responses.insert_one(row)
-            # Fold-exactly-once: rows the store already held were folded by
-            # _ensure_streaming; only the newly seeded ones fold here.
-            if self._streaming_state is not None:
-                self._streaming_state.ingest_row(row)
             stored.add(worker_id)
         known = {tuple(item) for item in self.lost_uploads}
         for item in payload.get("lost_uploads") or []:
@@ -1000,12 +961,12 @@ class Campaign:
         """Per-upload quality screen for shared-scheduler campaigns: True
         when this participant's answers should be retracted.
 
-        Runs only when the campaign has a ``CampaignConfig.quality`` —
-        matching streaming mode, where online screening is opt-in via the
-        same knob. Population-relative layers are disabled (hard-rule
-        completeness is undefined for adaptive budgets; majority vote needs
-        a population), leaving the per-participant engagement and
-        control-question layers.
+        Runs only when the campaign has a ``CampaignConfig.quality``, so a
+        campaign without one schedules on every stored answer. Population-
+        relative layers are disabled (hard-rule completeness is undefined
+        for adaptive budgets; majority vote needs a population), leaving the
+        per-participant engagement and control-question layers. Conclude
+        still runs the full quality control over the stored rows.
         """
         quality = self.config.quality
         if quality is None:
@@ -1281,6 +1242,15 @@ class Campaign:
     ) -> CampaignResult:
         """Apply quality control and analysis to everything uploaded so far.
 
+        One two-pass fold of the stored rows in upload order, on either
+        store: the first pass folds every row into a :class:`~repro.store.
+        stream.StreamingCampaignState` (raw sufficient statistics plus the
+        individual quality screen), the second finishes the majority filter
+        and folds the kept rows — so memory stays O(pairs), not
+        O(participants). The decisions equal :class:`~repro.core.quality.
+        QualityControl` and :func:`~repro.core.analysis.analyze_responses`
+        on the same rows, except that ``behavior`` CDFs are not computed.
+
         The returned :class:`CampaignResult` always carries a
         :class:`~repro.core.conclusion.Conclusion`; a campaign that lost
         participants (abandonment, lost uploads) still concludes, with the
@@ -1295,167 +1265,33 @@ class Campaign:
         CampaignError` is raised instead of concluding on too little data.
 
         ``quality_config`` defaults to the campaign's
-        ``CampaignConfig.quality``. In streaming mode the thresholds were
-        fixed at prepare time (the online screen already ran); passing a
-        *different* config here raises.
+        ``CampaignConfig.quality``.
         """
         prepared = self._require_prepared()
-        if self.config.streaming:
-            return self._conclude_streaming(
-                job, duration_days, quality_config, min_participants, quorum
-            )
         if quality_config is None:
             quality_config = self.config.quality
+        test_id = prepared.test_id
+        version_ids = [v for v in prepared.version_ids if v != "__contrast__"]
         with self.tracer.span("conclude", category="campaign") as cspan:
-            raw = self.server.stored_results(prepared.test_id)
-            if not raw:
-                raise CampaignError("no responses collected; nothing to conclude")
-            questions = len(prepared.parameters.question)
-            sort_scheduled = self.config.scheduler not in (
-                SCHEDULER_FULL, "adaptive"
+            state = StreamingCampaignState(
+                [q.question_id for q in prepared.parameters.question],
+                version_ids,
+                all_pairs(version_ids),
+                self._expected_answers(prepared),
+                quality_config=quality_config,
             )
-            if sort_scheduled:
-                # Sorting-based reduction: any correct sort of N versions asks
-                # at least N-1 questions; completeness is that floor + control.
-                version_count = len(
-                    [v for v in prepared.version_ids if v != "__contrast__"]
-                )
-                expected_answers = (version_count - 1 + 1) * questions
-            elif self.config.scheduler == "adaptive":
-                # Shared information-gain scheduling: per-participant answer
-                # counts legitimately vary (session budgets, early stop can
-                # leave late arrivals only the control page), so completeness
-                # is just the control floor.
-                expected_answers = 1 * questions
-            else:
-                comparisons = len(prepared.comparison_pairs())
-                # Hard-rule completeness: every comparison pair answered for
-                # every question, plus at least one control page.
-                expected_answers = (comparisons + 1) * questions
-            report = QualityControl(
-                quality_config, metrics=self.metrics, tracer=self.tracer
-            ).apply(raw, expected_answers)
-            question_ids = [q.question_id for q in prepared.parameters.question]
-            version_ids = [
-                v for v in prepared.version_ids if v != "__contrast__"
-            ]
-            with self.tracer.span("analysis", category="campaign"):
-                raw_analysis = analyze_responses(raw, question_ids, version_ids)
-                controlled_analysis = analyze_responses(
-                    report.kept, question_ids, version_ids
-                )
-            abandoned = [r for r in raw if getattr(r, "abandoned", False)]
-            complete = [
-                r for r in raw
-                if not getattr(r, "abandoned", False)
-                and len(r.answers) >= expected_answers
-            ]
-            if job is not None and job.participants_recruited:
-                recruited = job.participants_recruited
-            else:
-                recruited = len(raw) + len(self.lost_uploads)
-            pair_coverage = raw_analysis.answer_coverage()
-            expected_total = recruited * len(pair_coverage)
-            achieved = sum(pair_coverage.values())
-            needs_report = bool(
-                abandoned
-                or self.lost_uploads
-                or len(complete) < recruited
-                or min_participants is not None
-                or quorum is not None
-            )
-            conclusion_cls = DegradedConclusion if needs_report else Conclusion
-            conclusion = conclusion_cls(
-                recruited=recruited,
-                uploaded=len(raw),
-                complete=len(complete),
-                abandoned=len(abandoned),
-                lost_uploads=list(self.lost_uploads),
-                expected_answers=expected_answers,
-                pair_coverage=pair_coverage,
-                min_pair_coverage=raw_analysis.min_coverage(),
-                coverage_fraction=(
-                    min(1.0, achieved / expected_total) if expected_total else 0.0
-                ),
-                min_participants=min_participants,
-                quorum=quorum,
-            )
-            self.metrics.set_gauge("campaign.recruited", recruited)
-            self.metrics.set_gauge("campaign.uploaded", len(raw))
-            self.metrics.set_gauge("campaign.complete", len(complete))
-            self.metrics.set_gauge(
-                "campaign.coverage_fraction", round(conclusion.coverage_fraction, 4)
-            )
-            cspan.set_attr("complete", len(complete))
-            cspan.set_attr("uploaded", len(raw))
-            cspan.set_attr("degraded", conclusion.is_degraded)
-            self._record_overload_observations()
-            if not conclusion.quorum_met:
-                raise CampaignError(
-                    "campaign degraded below the conclusion floor: "
-                    f"{conclusion.complete}/{conclusion.recruited} complete "
-                    f"(min_participants={min_participants}, quorum={quorum})"
-                )
-            early_stop = None
-            if self._shared_scheduler is not None:
-                stop = getattr(self._shared_scheduler, "conclusion", None)
-                early_stop = stop() if callable(stop) else None
-            return CampaignResult(
-                test_id=prepared.test_id,
-                raw_results=raw,
-                quality_report=report,
-                raw_analysis=raw_analysis,
-                controlled_analysis=controlled_analysis,
-                job=job,
-                duration_days=duration_days,
-                total_cost_usd=job.total_cost_usd if job is not None else 0.0,
-                conclusion=conclusion,
-                resume_source=self._resume_checkpoint(),
-                early_stop=early_stop,
-            )
-
-    def _conclude_streaming(
-        self,
-        job: Optional[CrowdJob],
-        duration_days: float,
-        quality_config: Optional[QualityConfig],
-        min_participants: Optional[int],
-        quorum: Optional[float],
-    ) -> CampaignResult:
-        """Conclude from the streaming sufficient statistics.
-
-        Decision-identical to the batch path — the online screen already ran
-        the batch screening code per upload, and the conclude pass streams
-        the stored rows once (lazy WAL replay) to finish the majority filter
-        and fold the controlled aggregates — but memory stays O(pairs), not
-        O(participants): ``raw_results`` is empty and the quality report
-        carries worker ids, never results.
-        """
-        prepared = self._require_prepared()
-        state = self._streaming_state
-        if state is None:
-            raise CampaignError(
-                "streaming state missing; prepare() builds it — was the "
-                "campaign prepared with store='sharded-streaming'?"
-            )
-        if quality_config is not None and quality_config != state.quality_config:
-            raise CampaignError(
-                "streaming quality control is fixed at prepare time (the "
-                "online screen already ran with the campaign's config); "
-                "construct the campaign with CampaignConfig(quality=...) "
-                "instead of passing a different quality_config to conclude()"
-            )
-        with self.tracer.span("conclude", category="campaign") as cspan:
+            for row in self.server.stored_rows(test_id):
+                state.ingest(ParticipantResult.from_dict(row))
             if state.ingested == 0:
                 raise CampaignError("no responses collected; nothing to conclude")
-            expected_answers = state.expected_answers
-            # Mirror QualityControl.apply's span/metrics/events exactly: the
-            # decisions were made per upload, but the observability contract
-            # is conclude-time.
+            uploaded = state.ingested
+            # The quality span, counters and events match QualityControl.
+            # apply's, and an analysis span follows, so observed runs export
+            # the same timeline and metrics as the batch reference.
             with self.tracer.span(
-                "quality", category="campaign", participants=state.ingested
+                "quality", category="campaign", participants=uploaded
             ) as qspan:
-                data = state.conclude(self._stream_rows(prepared.test_id))
+                data = state.conclude(self.server.stored_rows(test_id))
                 report = data.report
                 qspan.set_attr("kept", report.kept_count)
                 qspan.set_attr("dropped", len(report.dropped))
@@ -1471,7 +1307,7 @@ class Campaign:
             if job is not None and job.participants_recruited:
                 recruited = job.participants_recruited
             else:
-                recruited = data.uploaded + len(self.lost_uploads)
+                recruited = uploaded + len(self.lost_uploads)
             pair_coverage = raw_analysis.answer_coverage()
             expected_total = recruited * len(pair_coverage)
             achieved = sum(pair_coverage.values())
@@ -1485,11 +1321,11 @@ class Campaign:
             conclusion_cls = DegradedConclusion if needs_report else Conclusion
             conclusion = conclusion_cls(
                 recruited=recruited,
-                uploaded=data.uploaded,
+                uploaded=uploaded,
                 complete=data.complete,
                 abandoned=data.abandoned,
                 lost_uploads=list(self.lost_uploads),
-                expected_answers=expected_answers,
+                expected_answers=state.expected_answers,
                 pair_coverage=pair_coverage,
                 min_pair_coverage=raw_analysis.min_coverage(),
                 coverage_fraction=(
@@ -1499,13 +1335,13 @@ class Campaign:
                 quorum=quorum,
             )
             self.metrics.set_gauge("campaign.recruited", recruited)
-            self.metrics.set_gauge("campaign.uploaded", data.uploaded)
+            self.metrics.set_gauge("campaign.uploaded", uploaded)
             self.metrics.set_gauge("campaign.complete", data.complete)
             self.metrics.set_gauge(
                 "campaign.coverage_fraction", round(conclusion.coverage_fraction, 4)
             )
             cspan.set_attr("complete", data.complete)
-            cspan.set_attr("uploaded", data.uploaded)
+            cspan.set_attr("uploaded", uploaded)
             cspan.set_attr("degraded", conclusion.is_degraded)
             self._record_overload_observations()
             self._record_store_observations()
@@ -1515,9 +1351,19 @@ class Campaign:
                     f"{conclusion.complete}/{conclusion.recruited} complete "
                     f"(min_participants={min_participants}, quorum={quorum})"
                 )
+            early_stop = None
+            if self._shared_scheduler is not None:
+                stop = getattr(self._shared_scheduler, "conclusion", None)
+                early_stop = stop() if callable(stop) else None
+
+            def rows_source() -> List[ParticipantResult]:
+                # Rows are append-only: the first ``uploaded`` are this
+                # conclude's rows even if the campaign uploads more later.
+                rows = itertools.islice(self.server.stored_rows(test_id), uploaded)
+                return [ParticipantResult.from_dict(row) for row in rows]
+
             return CampaignResult(
-                test_id=prepared.test_id,
-                raw_results=[],
+                test_id=test_id,
                 quality_report=report,
                 raw_analysis=raw_analysis,
                 controlled_analysis=controlled_analysis,
@@ -1526,8 +1372,27 @@ class Campaign:
                 total_cost_usd=job.total_cost_usd if job is not None else 0.0,
                 conclusion=conclusion,
                 resume_source=self._resume_checkpoint(),
-                participant_count=data.uploaded,
+                rows_source=rows_source,
+                early_stop=early_stop,
             )
+
+    def _expected_answers(self, prepared: PreparedTest) -> int:
+        """Answers a complete participant uploads (the hard-rule floor)."""
+        questions = len(prepared.parameters.question)
+        if self.config.scheduler == SCHEDULER_FULL:
+            # Every comparison pair answered for every question, plus at
+            # least one control page.
+            return (len(prepared.comparison_pairs()) + 1) * questions
+        if self.config.scheduler == "adaptive":
+            # Shared information-gain scheduling: per-participant answer
+            # counts legitimately vary (session budgets, early stop can
+            # leave late arrivals only the control page), so completeness
+            # is just the control floor.
+            return 1 * questions
+        # Sorting-based reduction: any correct sort of N versions asks at
+        # least N-1 questions; completeness is that floor + control.
+        versions = len([v for v in prepared.version_ids if v != "__contrast__"])
+        return versions * questions
 
     def _record_store_observations(self) -> None:
         """Export the sharded store's durability counters into the trace +
@@ -1634,7 +1499,7 @@ class Campaign:
         when the builder runs: the first ``count`` rows in upload (``_id``)
         order, which are exactly the rows stored now because responses are
         append-only. A concluded :class:`CampaignResult` holds the builder,
-        so a streaming conclude stays O(pairs) in memory unless a caller
+        so a conclude stays O(pairs) in memory unless a caller
         asks for the rows.
         """
         if self.last_root_entropy is None:
@@ -1654,10 +1519,7 @@ class Campaign:
             tail["store"] = digest()
 
         def build() -> dict:
-            rows = []
-            for row in itertools.islice(self._stream_rows(test_id), count):
-                row.pop("_id", None)
-                rows.append(row)
+            rows = list(itertools.islice(self.server.stored_rows(test_id), count))
             return {
                 **head,
                 "completed_worker_ids": [row["worker_id"] for row in rows],

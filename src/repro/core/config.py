@@ -35,13 +35,13 @@ from repro.util.executors import EXECUTOR_MODES
 #: Default core-server hostname (the paper's single-server deployment).
 DEFAULT_HOST = "kaleidoscope.local"
 
-#: Storage/aggregation backends: ``"memory"`` is the historical in-RAM
-#: DocumentStore + batch conclude; ``"sharded-streaming"`` hash-partitions
-#: responses across WAL-backed shards and folds every upload into O(pairs)
-#: sufficient statistics at ingest time (see :mod:`repro.store`).
+#: Storage backends: ``"memory"`` is the historical in-RAM DocumentStore;
+#: ``"sharded-streaming"`` hash-partitions responses across WAL-backed
+#: shards and streams them back by lazy log replay (see :mod:`repro.store`).
+#: Both conclude through the same O(pairs) fold of the stored rows.
 STORE_MODES = ("memory", "sharded-streaming")
 
-#: Store mode that streams aggregation instead of batch-scanning responses.
+#: Store mode that spills responses to the shard WALs.
 STORE_SHARDED_STREAMING = "sharded-streaming"
 
 #: Diagnostic-log window for streaming campaigns: the network exchange log
@@ -103,20 +103,18 @@ class CampaignConfig:
     #: Server-side overload control plane (admission queue, token-bucket
     #: rate limiter, load-shedding ladder); ``None`` = accept everything.
     overload: Optional[OverloadConfig] = None
-    #: Storage/aggregation backend: ``"memory"`` (historical in-RAM store +
-    #: batch conclude) or ``"sharded-streaming"`` (WAL-backed shards with
-    #: responses spilled to the log and folded into streaming sufficient
-    #: statistics at upload time — O(pairs) conclude memory).
+    #: Storage backend: ``"memory"`` (historical in-RAM store) or
+    #: ``"sharded-streaming"`` (WAL-backed shards with responses spilled to
+    #: the log, so the store itself stays out of O(participants) memory).
     store: str = "memory"
     #: Shard count for the ``"sharded-streaming"`` store.
     store_shards: int = 4
     #: Directory for the sharded store's WALs + snapshots; ``None`` keeps
     #: them in process memory (still streamed, not crash-durable).
     store_directory: Optional[str] = None
-    #: Quality-control thresholds for the campaign. In streaming mode the
-    #: config must be fixed up front (the online screen runs at upload
-    #: time); in memory mode it is the default for ``conclude``'s
-    #: ``quality_config`` argument.
+    #: Quality-control thresholds for the campaign: the default for
+    #: ``conclude``'s ``quality_config`` argument, and the per-upload screen
+    #: of a shared (``"adaptive"``) scheduler.
     quality: Optional[QualityConfig] = None
     #: Comparison scheduler: ``"full"`` (every C(N, 2) pair — the paper's
     #: default design), a participant-driven sort (``"bubble"``,
@@ -173,12 +171,6 @@ class CampaignConfig:
             raise ValidationError(
                 f"scheduler must be one of {SCHEDULER_MODES}, "
                 f"got {self.scheduler!r}"
-            )
-        if self.scheduler != "full" and self.streaming:
-            raise ValidationError(
-                "scheduled campaigns (scheduler != 'full') are incompatible "
-                "with the sharded-streaming store: the streaming screen "
-                "assumes the fixed full-pair page plan"
             )
         # Raises CampaignError with the valid choices on unknown values.
         validate_arrival_mode(self.arrival)
@@ -245,5 +237,5 @@ class CampaignConfig:
 
     @property
     def streaming(self) -> bool:
-        """True when the campaign aggregates incrementally at upload time."""
+        """True when responses spill to the sharded store's WALs."""
         return self.store == STORE_SHARDED_STREAMING

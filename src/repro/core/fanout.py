@@ -212,8 +212,7 @@ def build_spec(
     # Chunk campaigns always run the in-memory store: each worker process
     # holds only its chunk's rows (wiped after shipping), so sharded WALs
     # would journal state that is thrown away — the parent's store is the
-    # durable one, and it re-folds every merged row into the streaming
-    # aggregates itself.
+    # durable one.
     return FanoutSpec(
         config=campaign.config.replace(store="memory"),
         prepared=prepared,
@@ -407,10 +406,6 @@ def _merge_chunk(campaign, chunk: ChunkOutcome) -> None:
                     "duplicate submission"
                 )
             responses.insert_one(outcome.row)
-            # Chunk servers never carry streaming state; the parent folds
-            # each merged row exactly once, in roster (upload) order.
-            if campaign._streaming_state is not None:
-                campaign._streaming_state.ingest_row(outcome.row)
     campaign.metrics.merge_state(chunk.metrics_state)
     campaign.network.stats.merge(chunk.stats)
     campaign.network.log.extend(chunk.log)

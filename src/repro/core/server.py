@@ -29,22 +29,23 @@ that a real (non-simulated) extension could drive an adaptive campaign.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.core.aggregator import (
     INTEGRATED_COLLECTION,
     RESPONSES_COLLECTION,
     TESTS_COLLECTION,
 )
-from repro.core.analysis import analyze_responses
 from repro.core.config import DEFAULT_HOST, STREAMING_NETWORK_LOG_LIMIT
 from repro.core.extension import ParticipantResult
+from repro.core.scheduling import all_pairs
 from repro.errors import StorageError, ValidationError
 from repro.net.http import IDEMPOTENCY_HEADER, HttpServer, Request, Response, Router
 from repro.net.overload import AdmissionController
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
+from repro.store.stream import StreamingAggregator
 
 class CoreServer:
     """The Kaleidoscope core server bound to its database and storage."""
@@ -72,9 +73,6 @@ class CoreServer:
         if host is None:
             host = config.host if config is not None else DEFAULT_HOST
         self.database = database
-        #: Streaming campaign state attached by a ``sharded-streaming``
-        #: campaign; every accepted upload is folded into it at ingest time.
-        self.streaming = None
         #: Shared comparison scheduler attached by a scheduled campaign;
         #: serves the ``/schedule`` routes.
         self.scheduler = None
@@ -101,13 +99,6 @@ class CoreServer:
             self.http.admission = AdmissionController(overload, metrics=metrics)
 
     # -- plumbing ---------------------------------------------------------
-
-    def attach_streaming(self, state) -> None:
-        """Attach a :class:`~repro.store.stream.StreamingCampaignState`.
-
-        From this point every accepted upload for the state's test is folded
-        into its aggregates as part of the POST /responses handler."""
-        self.streaming = state
 
     def attach_scheduler(self, scheduler) -> None:
         """Attach a shared :class:`~repro.core.scheduling.Scheduler`.
@@ -229,11 +220,6 @@ class CoreServer:
         if token:
             row["idempotency_key"] = token
         responses.insert_one(row)
-        # Fold-exactly-once: the dedupe paths above already bounced replays
-        # and duplicates, so every row that reaches insert_one is folded into
-        # the streaming sufficient statistics exactly once.
-        if self.streaming is not None and result.test_id == self.streaming.test_id:
-            self.streaming.ingest(result)
         if self._counting:
             self.metrics.add("server.uploads", 1)
         return Response.json_response(
@@ -320,14 +306,20 @@ class CoreServer:
         record = self.database.collection(TESTS_COLLECTION).find_one({"test_id": test_id})
         if record is None:
             return Response.not_found(f"test {test_id!r}")
-        results = self.stored_results(test_id)
-        if not results:
+        if not self.response_count(test_id):
             return Response.json_response(
                 {"test_id": test_id, "participants": 0, "tallies": []}
             )
         question_ids = [q["question_id"] for q in record["parameters"]["question"]]
-        version_ids = [v for v in record["version_ids"]]
-        bundle = analyze_responses(results, question_ids, version_ids)
+        version_ids = list(record["version_ids"])
+        # One streamed fold of the stored rows: memory stays O(pairs) on
+        # either store, and the tallies are the batch analysis's tallies.
+        aggregator = StreamingAggregator(
+            question_ids, version_ids, all_pairs(version_ids), expected_answers=0
+        )
+        for row in self.stored_rows(test_id):
+            aggregator.fold(ParticipantResult.from_dict(row))
+        bundle = aggregator.analysis_bundle()
         tallies = [
             {
                 "question_id": tally.question_id,
@@ -375,14 +367,28 @@ class CoreServer:
 
     # -- direct (non-HTTP) reads used by the campaign ----------------------------
 
-    def stored_results(self, test_id: str) -> List[ParticipantResult]:
-        """All uploaded participant results for a test."""
-        rows = self.database.collection(RESPONSES_COLLECTION).find({"test_id": test_id})
-        results = []
+    def stored_rows(self, test_id: str) -> Iterator[dict]:
+        """A test's stored response rows in global ``_id`` (upload) order,
+        streamed, without their ``_id``.
+
+        The one stored-row reader: the sharded store replays its WALs
+        lazily (memory O(shards), not O(rows)); a plain
+        :class:`~repro.storage.documentstore.DocumentStore` yields its
+        (already ``_id``-ordered) copies."""
+        stream = getattr(self.database, "stream_collection", None)
+        if stream is not None:
+            rows = stream(RESPONSES_COLLECTION, {"test_id": test_id})
+        else:
+            rows = self.database.collection(RESPONSES_COLLECTION).find(
+                {"test_id": test_id}
+            )
         for row in rows:
             row.pop("_id", None)
-            results.append(ParticipantResult.from_dict(row))
-        return results
+            yield row
+
+    def stored_results(self, test_id: str) -> List[ParticipantResult]:
+        """All uploaded participant results for a test, in upload order."""
+        return [ParticipantResult.from_dict(row) for row in self.stored_rows(test_id)]
 
     def response_count(self, test_id: str) -> int:
         """Number of uploads so far."""

@@ -10,9 +10,9 @@ The subsystem behind million-participant campaigns:
   WAL-backed shards with snapshot + compaction and spill-to-log for the
   response firehose;
 * :mod:`repro.store.stream` — :class:`StreamingAggregator` /
-  :class:`OnlineQualityScreen`, folding each upload into O(pairs)
-  sufficient statistics so a campaign concludes without materializing its
-  participants.
+  :class:`OnlineQualityScreen`, folding each stored row into O(pairs)
+  sufficient statistics so a campaign concludes (on either store) without
+  materializing its participants.
 """
 
 from repro.store.sharded import ShardedDocumentStore

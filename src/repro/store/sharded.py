@@ -730,9 +730,10 @@ class ShardedDocumentStore:
 
         def shard_iter(shard: _Shard) -> Iterator[dict]:
             if spilled:
+                # Replay decodes a fresh dict per record: no copy needed.
                 for doc in shard.scan_spilled(name):
                     if match_document(doc, query):
-                        yield deep_copy_json(doc)
+                        yield doc
             elif name in shard.store._collections:
                 collection = shard.store.collection(name)
                 for doc in collection._iter_matching(query):

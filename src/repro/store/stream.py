@@ -1,29 +1,30 @@
-"""Streaming aggregation: O(pairs) sufficient statistics per upload.
+"""Streaming aggregation: O(pairs) sufficient statistics over the stored rows.
 
 The Bradley–Terry model, the per-question tallies, and the Figure 4 rank
 matrices all depend on the raw responses only through small count tables —
-sufficient statistics. :class:`StreamingAggregator` folds each uploaded
-:class:`~repro.core.extension.ParticipantResult` into those tables at
-ingest time, so concluding a campaign no longer needs the responses in
-memory: aggregator state is O(questions × pairs), independent of the
-participant count.
+sufficient statistics. :class:`StreamingAggregator` folds each stored
+:class:`~repro.core.extension.ParticipantResult` into those tables, so
+concluding a campaign never needs the responses in memory: aggregator
+state is O(questions × pairs), independent of the participant count.
 
-Quality control streams in two passes with decisions byte-identical to the
-batch :class:`~repro.core.quality.QualityControl`:
+``Campaign.conclude`` streams the stored rows twice, in upload order, with
+quality decisions byte-identical to the batch
+:class:`~repro.core.quality.QualityControl`:
 
-1. **At upload** — :class:`OnlineQualityScreen` runs the individual
-   screening layers (hard rules, engagement, control questions) on each
-   result as it arrives, and folds survivors' non-control answers into the
-   running per-(page, question) majority tallies.
-2. **At conclude** — the majority map is read off the tallies (the strict-
+1. **First pass** — every row folds into the raw aggregator, and
+   :class:`OnlineQualityScreen` runs the individual screening layers (hard
+   rules, engagement, control questions) on it, folding survivors'
+   non-control answers into the per-(page, question) majority tallies.
+2. **Second pass** — the majority map is read off the tallies (the strict-
    majority rule depends only on final counts, so incremental accumulation
-   cannot change it), and one streamed pass over the stored rows re-applies
-   the (deterministic) individual screen to partition the stream and checks
-   each survivor's deviation against the majority — appending drops in
-   exactly the order the batch pass produces: individual drops in upload
-   order, then majority drops in survivor order.
+   cannot change it); each row is re-screened (the individual screen is
+   deterministic, so this re-partitions the stream without storing a drop
+   set) and each survivor's deviation is checked against the majority —
+   appending drops in exactly the order the batch pass produces:
+   individual drops in upload order, then majority drops in survivor order.
 
-The second pass reads rows back through
+Both passes read rows through ``CoreServer.stored_rows``: on the sharded
+store that is
 :meth:`~repro.store.sharded.ShardedDocumentStore.stream_collection`, which
 replays the shard WALs lazily — so the whole conclude stays out of
 O(participants) memory even at a million uploads.
@@ -189,13 +190,13 @@ class StreamingAggregator:
 
 
 class OnlineQualityScreen:
-    """The upload-time half of streaming quality control.
+    """The first-pass half of streaming quality control.
 
     Runs :class:`~repro.core.quality.QualityControl`'s individual screening
-    layers on each result as it arrives (the batch code path itself, so the
-    decision is the batch decision), records drops in upload order, and
+    layers on each row in upload order (the batch code path itself, so the
+    decision is the batch decision), records drops in that order, and
     accumulates the majority-vote tallies over survivors' non-control
-    answers. The majority *verdicts* are only read at conclude time, when
+    answers. The majority *verdicts* are only read in the second pass, when
     the tallies are final — identical to the batch pass, because the
     strict-majority rule (``most_common(2)`` with a tie carrying no
     consensus) is a pure function of the final counts.
@@ -266,28 +267,25 @@ class StreamingConclusionData:
     uploaded: int
     abandoned: int
     complete: int
+    #: The raw aggregator's :meth:`StreamingAggregator.cell_count`.
+    cell_count: int
 
 
 class StreamingCampaignState:
-    """Per-campaign streaming state: one raw aggregator, one online screen.
+    """One conclude's streaming state: one raw aggregator, one screen.
 
-    ``ingest``/``ingest_row`` are called once per stored row — the server
-    calls them right after a successful insert, the process fan-out after
-    each merged chunk row, and the resume path after re-seeding stored rows
-    — so fold order always equals global ``_id`` (upload) order and every
-    row folds exactly once.
+    The first pass calls ``ingest`` once per stored row in global ``_id``
+    (upload) order; :meth:`conclude` is the second pass over the same rows.
     """
 
     def __init__(
         self,
-        test_id: str,
         question_ids: List[str],
         version_ids: List[str],
         pairs: List[Tuple[str, str]],
         expected_answers: int,
         quality_config: Optional[QualityConfig] = None,
     ):
-        self.test_id = test_id
         self.expected_answers = expected_answers
         self.raw = StreamingAggregator(
             question_ids, version_ids, pairs, expected_answers
@@ -302,11 +300,6 @@ class StreamingCampaignState:
     def ingest(self, result: ParticipantResult) -> None:
         self.raw.fold(result)
         self.screen.observe(result)
-
-    def ingest_row(self, row: dict) -> None:
-        row = dict(row)
-        row.pop("_id", None)
-        self.ingest(ParticipantResult.from_dict(row))
 
     def conclude(self, rows: Iterable[dict]) -> StreamingConclusionData:
         """Finish quality control and build both analysis bundles.
@@ -334,8 +327,6 @@ class StreamingCampaignState:
         majority_drops: List[DropRecord] = []
         kept_worker_ids: List[str] = []
         for row in rows:
-            row = dict(row)
-            row.pop("_id", None)
             result = ParticipantResult.from_dict(row)
             if (
                 self.screen.control._screen_individual(
@@ -343,7 +334,7 @@ class StreamingCampaignState:
                 )
                 is not None
             ):
-                continue  # dropped at upload time; already recorded in order
+                continue  # dropped in the first pass; already recorded in order
             if apply_majority:
                 cells = 0
                 deviations = 0
@@ -385,4 +376,5 @@ class StreamingCampaignState:
             uploaded=self.raw.participants,
             abandoned=self.raw.abandoned,
             complete=self.raw.complete,
+            cell_count=self.raw.cell_count(),
         )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.aggregator import Aggregator, RESPONSES_COLLECTION
+from repro.core.analysis import analyze_responses
 from repro.core.extension import Answer, ParticipantResult
 from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.scheduling import MergeSortScheduler
@@ -15,6 +16,7 @@ from repro.net.simnet import SimulatedNetwork
 from repro.sim.clock import SimulationEnvironment
 from repro.storage.documentstore import DocumentStore
 from repro.storage.filestore import FileStore
+from repro.store import ShardedDocumentStore
 
 TRACE = BehaviorTrace(0.5, 0, 2).as_dict()
 
@@ -22,7 +24,11 @@ TRACE = BehaviorTrace(0.5, 0, 2).as_dict()
 @pytest.fixture
 def stack():
     """Prepared test + server + network."""
-    database, storage = DocumentStore(), FileStore()
+    return build_stack(DocumentStore())
+
+
+def build_stack(database):
+    storage = FileStore()
     aggregator = Aggregator(database, storage)
     params = TestParameters(
         test_id="srv-test",
@@ -331,6 +337,41 @@ class TestGetResults:
     def test_unknown_test_404(self, stack):
         server, network, _, _ = stack
         assert network.get(server.url("/results/ghost")).status == 404
+
+    def test_payload_identical_on_both_stores(self):
+        payloads = []
+        for database in (
+            DocumentStore(),
+            ShardedDocumentStore(shards=3, spill=(RESPONSES_COLLECTION,)),
+        ):
+            server, network, _, _ = build_stack(database)
+            for index, answer in enumerate(("left", "right", "left", "same")):
+                payload = upload_payload(worker_id=f"w{index}")
+                payload["answers"][0]["answer"] = answer
+                network.post_json(server.url("/responses"), payload)
+            payloads.append(network.get(server.url("/results/srv-test")).json())
+        assert payloads[0] == payloads[1]
+        # The fold serves what the batch analysis computes from the rows.
+        bundle = analyze_responses(
+            server.stored_results("srv-test"), ["q1"], ["a", "b"]
+        )
+        assert payloads[1] == {
+            "test_id": "srv-test",
+            "participants": 4,
+            "tallies": [
+                {
+                    "question_id": tally.question_id,
+                    "left_version": tally.left_version,
+                    "right_version": tally.right_version,
+                    "left": tally.left_count,
+                    "right": tally.right_count,
+                    "same": tally.same_count,
+                    "p_value": tally.preference_p_value(),
+                }
+                for tally in bundle.tallies.values()
+            ],
+        }
+        assert payloads[1]["tallies"][0]["left"] == 2
 
 
 class TestPostTask:

@@ -381,9 +381,8 @@ class TestParallelEquivalence:
             serial.controlled_analysis.rankings[q].matrix
             == parallel.controlled_analysis.rankings[q].matrix
         )
-        assert [r.worker_id for r in serial.quality_report.kept] == [
-            r.worker_id for r in parallel.quality_report.kept
-        ]
+        assert serial.quality_report.kept_ids == parallel.quality_report.kept_ids
+        assert serial.quality_report.kept_count > 0
 
     def test_invalid_parallelism_rejected(self):
         campaign = Campaign(seed=7)

@@ -1,5 +1,6 @@
-"""Streaming aggregation tests: the `sharded-streaming` store mode must be
-decision-identical to the batch pipeline, across executors and crashes."""
+"""Streaming aggregation tests: a campaign on the `sharded-streaming` store
+must conclude exactly as one on the memory store (and as the batch reference
+implementations), across executors, schedulers and crashes."""
 
 import pytest
 
@@ -8,9 +9,13 @@ from tests.test_core_campaign import make_documents, make_judge, make_params
 from repro.core.btmodel import counts_from_results, fit_bradley_terry
 from repro.core.campaign import Campaign
 from repro.core.config import CampaignConfig
+from repro.core.extension import make_utility_judge
+from repro.core.parameters import Question, TestParameters, WebpageSpec
 from repro.core.quality import QualityConfig
+from repro.crowd.judgment import ThurstoneChoiceModel
 from repro.crowd.workers import FIGURE_EIGHT_TRUSTWORTHY_MIX, generate_population
-from repro.errors import CampaignError, ValidationError
+from repro.errors import CampaignError
+from repro.html.parser import parse_html
 
 
 def result_digest(result):
@@ -23,6 +28,7 @@ def result_digest(result):
             (key, (t.left_count, t.right_count, t.same_count))
             for key, t in result.controlled_analysis.tallies.items()
         ),
+        result.early_stop.to_dict() if result.early_stop else None,
     )
 
 
@@ -87,7 +93,7 @@ class TestBatchStreamingIdentity:
             v for v in batch_campaign.prepared.version_ids if v != "__contrast__"
         ]
         batch_counts = counts_from_results(
-            batch.quality_report.kept, "q1", version_ids
+            batch.controlled_results, "q1", version_ids
         )
         stream_counts = stream_campaign.last_streaming.controlled_bt["q1"]
         assert batch_counts.wins == stream_counts.wins
@@ -97,12 +103,17 @@ class TestBatchStreamingIdentity:
         )
 
     def test_streaming_result_shape(self, pair):
-        _, (stream_campaign, streaming) = pair
-        # Streaming never materializes participants: raw_results stays
-        # empty, the counts come from the sufficient statistics.
-        assert streaming.raw_results == []
+        (_, batch), (stream_campaign, streaming) = pair
+        # Conclude keeps only sufficient statistics; raw_results is read
+        # back from the WALs on first access and equals the memory rows.
+        assert [r.as_dict() for r in streaming.raw_results] == [
+            r.as_dict() for r in batch.raw_results
+        ]
+        assert [r.as_dict() for r in streaming.controlled_results] == [
+            r.as_dict() for r in batch.controlled_results
+        ]
         assert streaming.participants == 25
-        assert streaming.participant_count == 25
+        assert streaming.conclusion.uploaded == 25
         assert stream_campaign.last_streaming.uploaded == 25
         assert stream_campaign.database.stats()["spilled_documents"] > 0
 
@@ -179,11 +190,11 @@ class TestCrashRecovery:
         crashed = self.crash_after(disk_config, roster, entropy, checkpoints=7)
         crashed.database.close()
         del crashed
-        # A new campaign over the same directory recovers the WALs and
-        # re-folds the stored rows before resuming the fan-out.
+        # A new campaign over the same directory recovers the WALs; the
+        # resumed fan-out skips the stored rows and conclude folds them all.
         revived = Campaign(config=disk_config)
         revived.prepare(make_params(), make_documents())
-        assert revived._streaming_state.ingested == 7
+        assert revived.server.response_count("campaign-test") == 7
         result = revived.run_with_workers(
             roster, make_judge(), root_entropy=entropy
         )
@@ -203,21 +214,63 @@ class TestCrashRecovery:
             )
 
 
-class TestStreamingGuards:
-    def test_adaptive_mode_rejected(self):
-        # Sort schedulers give each participant a different pair schedule,
-        # which the streaming screen's fixed expected-answer count cannot
-        # judge; the config refuses the combination up front.
-        with pytest.raises(ValidationError, match="sharded-streaming"):
-            CampaignConfig(seed=13, store="sharded-streaming", scheduler="insertion")
+class TestScheduledOnStreamingStore:
+    PAGES = ("p0", "p1", "p2", "p3")
 
-    def test_conclude_quality_config_conflict_rejected(self):
-        config = CampaignConfig(seed=14, store="sharded-streaming")
-        campaign = Campaign(config=config)
-        campaign.prepare(make_params(participants=4), make_documents())
-        conflicting = QualityConfig(enable_majority_vote=False)
-        with pytest.raises(CampaignError, match="quality"):
-            campaign.run(make_judge(), quality_config=conflicting)
+    def run(self, store, scheduler):
+        campaign = Campaign(
+            config=CampaignConfig(seed=13, store=store, scheduler=scheduler)
+        )
+        campaign.prepare(
+            TestParameters(
+                test_id="scheduled-stream",
+                test_description="scheduled campaign on both stores",
+                participant_num=8,
+                question=[Question("q1", "Which looks better?")],
+                webpages=[
+                    WebpageSpec(web_path=page, web_page_load=1000)
+                    for page in self.PAGES
+                ],
+            ),
+            {
+                page: parse_html(
+                    f"<html><body><div id='m'><p>{page} text</p></div></body></html>"
+                )
+                for page in self.PAGES
+            },
+        )
+        judge = make_utility_judge(
+            {"p0": 1.0, "p1": 0.3, "p2": -0.4, "p3": -1.2, "__contrast__": -5.0},
+            ThurstoneChoiceModel(),
+        )
+        return campaign.run(judge, reward_usd=0.1)
+
+    @pytest.mark.parametrize("scheduler", ["insertion", "merge", "adaptive"])
+    def test_matches_memory_digest(self, scheduler):
+        # Conclude derives the expected-answer floor from the scheduler on
+        # either store, so sort and adaptive schedules fold identically.
+        memory = self.run("memory", scheduler)
+        streaming = self.run("sharded-streaming", scheduler)
+        assert result_digest(streaming) == result_digest(memory)
+        assert streaming.conclusion.expected_answers == (
+            1 if scheduler == "adaptive" else len(self.PAGES)
+        )
+
+
+class TestStreamingGuards:
+    def test_passed_quality_config_matches_memory(self):
+        # A quality_config passed to run() applies on both stores.
+        passed = QualityConfig(enable_majority_vote=False, max_comparison_minutes=1.0)
+        results = {}
+        for store in ("memory", "sharded-streaming"):
+            campaign = Campaign(config=CampaignConfig(seed=14, store=store))
+            campaign.prepare(make_params(participants=12), make_documents())
+            results[store] = campaign.run(make_judge(), quality_config=passed)
+        default = run_campaign("sharded-streaming", participants=12, seed=14)[1]
+        assert result_digest(results["memory"]) == result_digest(
+            results["sharded-streaming"]
+        )
+        assert result_digest(results["sharded-streaming"]) != result_digest(default)
 
     def test_conclude_with_matching_quality_config_allowed(self):
         quality = QualityConfig(enable_majority_vote=False)
@@ -253,3 +306,19 @@ class TestBoundedDiagnostics:
         campaign, _ = run_campaign("memory", participants=4)
         assert isinstance(campaign.network.log, list)
         assert isinstance(campaign.server.http.request_log, list)
+
+
+class TestLazyRawResults:
+    @pytest.mark.parametrize("store", ["memory", "sharded-streaming"])
+    def test_rows_are_those_stored_at_conclude(self, store):
+        campaign, first = run_campaign(store, participants=4, seed=17)
+        late = generate_population(
+            3, FIGURE_EIGHT_TRUSTWORTHY_MIX, seed=18, id_prefix="late"
+        )
+        second = campaign.run_with_workers(late, make_judge())
+        # First read happens after three more uploads landed.
+        assert len(first.raw_results) == 4
+        assert len(second.raw_results) == 7
+        assert [r.worker_id for r in first.controlled_results] == (
+            first.quality_report.kept_ids
+        )
